@@ -16,6 +16,7 @@ package cpd
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"stef/internal/dense"
@@ -88,6 +89,11 @@ type Options struct {
 	// matrices (cloned, indexed by mode) instead of random ones —
 	// e.g. to resume a checkpointed decomposition (see LoadKruskal).
 	InitialFactors []*tensor.Matrix
+	// Threads is the worker count of the dense update (solve,
+	// normalisation, Gram) after each MTTKRP (default 1). The result does
+	// not depend on it; the engine's own thread count is set when the
+	// engine is built.
+	Threads int
 }
 
 func (o *Options) fill() {
@@ -99,6 +105,9 @@ func (o *Options) fill() {
 	}
 	if o.Rank <= 0 {
 		o.Rank = 16
+	}
+	if o.Threads < 1 {
+		o.Threads = 1
 	}
 }
 
@@ -145,9 +154,13 @@ func Run(dims []int, normX float64, eng Engine, opts Options) (*Result, error) {
 // workspace is Reset before use and remains owned by the caller, which
 // makes repeated solves on a pooled workspace allocation-free in steady
 // state: every buffer the iteration needs is either part of the workspace
-// or hoisted out of the ALS loop below.
+// or hoisted out of the ALS loop below. normX must be positive and finite:
+// the fit of an empty or all-zero tensor is undefined.
 func RunWith(dims []int, normX float64, eng Engine, ws Workspace, opts Options) (*Result, error) {
 	opts.fill()
+	if !(normX > 0) || math.IsInf(normX, 1) {
+		return nil, fmt.Errorf("cpd: tensor norm %g: need a positive finite norm (an empty or all-zero tensor has no fit)", normX)
+	}
 	d := len(dims)
 	order := eng.UpdateOrder()
 	if err := tensor.CheckPerm(order, d); err != nil {
@@ -170,9 +183,13 @@ func RunWith(dims []int, normX float64, eng Engine, ws Workspace, opts Options) 
 	} else {
 		factors = tensor.RandomFactors(dims, r, opts.Seed)
 	}
+	// Every dense factor update, including the initial Grams, runs
+	// through one scratch sized for the longest mode.
+	update := dense.NewUpdateScratch(slices.Max(dims), r, opts.Threads)
 	grams := make([]*tensor.Matrix, d)
 	for m := 0; m < d; m++ {
-		grams[m] = dense.Gram(factors[m], nil)
+		grams[m] = tensor.NewMatrix(r, r)
+		dense.UpdateFactor(update, factors[m], dense.Update{}, nil, grams[m])
 	}
 	mttkrp := make([]*tensor.Matrix, d)
 	for m := 0; m < d; m++ {
@@ -222,23 +239,14 @@ func RunWith(dims []int, normX float64, eng Engine, ws Workspace, opts Options) 
 				//lint:allow hotpath-alloc cold error path, aborts the iteration
 				return nil, fmt.Errorf("cpd: engine %q iteration %d mode %d: %w", eng.Name(), it, m, err)
 			}
-			factors[m].CopyFrom(mttkrp[m])
-			chol.SolveRowsInPlace(factors[m])
-			if opts.NonNegative {
-				for i, v := range factors[m].Data {
-					if v < 0 {
-						factors[m].Data[i] = 0
-					}
-				}
-			}
-
+			// A ← MTTKRP·V⁻¹, clamped for NNCP, column-normalised (2-norm
+			// in the first iteration, max-norm after), and its new Gram.
+			norm := dense.NormMax
 			if it == 0 {
-				dense.NormalizeColumnsInto(factors[m], norms)
-			} else {
-				dense.NormalizeColumnsMaxInto(factors[m], norms)
+				norm = dense.Norm2
 			}
+			dense.UpdateFactor(update, factors[m], dense.Update{Src: mttkrp[m], Chol: &chol, NonNegative: opts.NonNegative, Norm: norm}, norms, grams[m])
 			copy(lambda, norms)
-			dense.Gram(factors[m], grams[m])
 		}
 
 		fit := computeFit(normX, factors, grams, lambda, mttkrp[lastMode], lastMode, fitG)
@@ -288,9 +296,6 @@ func computeFit(normX float64, factors []*tensor.Matrix, grams []*tensor.Matrix,
 	resid2 := normX*normX + normM2 - 2*inner
 	if resid2 < 0 {
 		resid2 = 0
-	}
-	if normX == 0 {
-		return 1
 	}
 	return 1 - math.Sqrt(resid2)/normX
 }

@@ -90,10 +90,21 @@ func TestRunRejectsBadOrder(t *testing.T) {
 	}
 }
 
+// TestRunRejectsDegenerateNorm pins that a zero (empty or all-zero
+// tensor), NaN or infinite norm is an error, not a fit of 1.
+func TestRunRejectsDegenerateNorm(t *testing.T) {
+	tt := tensor.Random([]int{4, 4, 4}, 20, nil, 1)
+	for _, normX := range []float64{0, math.NaN(), math.Inf(1)} {
+		if res, err := Run(tt.Dims, normX, NaiveEngine(tt), Options{Rank: 2}); err == nil {
+			t.Fatalf("normX=%g: fit %g, want an error", normX, res.FinalFit())
+		}
+	}
+}
+
 func TestOptionsDefaults(t *testing.T) {
 	o := Options{}
 	o.fill()
-	if o.MaxIters != 50 || o.Rank != 16 || o.Tol != 1e-5 {
+	if o.MaxIters != 50 || o.Rank != 16 || o.Tol != 1e-5 || o.Threads != 1 {
 		t.Fatalf("unexpected defaults: %+v", o)
 	}
 }

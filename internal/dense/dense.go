@@ -12,7 +12,9 @@ import (
 )
 
 // Gram computes A'A into out (R×R where R = A.Cols). If out is nil a new
-// matrix is allocated. It returns out.
+// matrix is allocated. It returns out. The upper triangle is accumulated
+// four rows at a time (gramRows4) in packed form inside out's storage, then
+// expanded and mirrored.
 func Gram(a *tensor.Matrix, out *tensor.Matrix) *tensor.Matrix {
 	r := a.Cols
 	if out == nil {
@@ -21,27 +23,29 @@ func Gram(a *tensor.Matrix, out *tensor.Matrix) *tensor.Matrix {
 	if out.Rows != r || out.Cols != r {
 		panic(fmt.Sprintf("dense: Gram output shape %dx%d, want %dx%d", out.Rows, out.Cols, r, r))
 	}
-	out.Zero()
-	for i := 0; i < a.Rows; i++ {
-		row := a.Row(i)
-		for p := 0; p < r; p++ {
-			vp := row[p]
-			if vp == 0 {
-				continue
-			}
-			orow := out.Row(p)
-			for q := p; q < r; q++ {
-				orow[q] += vp * row[q]
-			}
-		}
+	tri := out.Data[:r*(r+1)/2]
+	clear(tri)
+	gramRows(tri, a.Data[:a.Rows*r], r)
+	expandUpper(out)
+	return out
+}
+
+// expandUpper turns the packed upper triangle held in the first R(R+1)/2
+// entries of g (row p holds columns p..R-1) into the full symmetric R×R
+// matrix. Rows are moved last to first: packed row p starts at or before
+// its destination p·R+p and after the end of every packed row above it,
+// so no move overwrites data still to be read.
+func expandUpper(g *tensor.Matrix) {
+	r := g.Cols
+	for p := r - 1; p >= 0; p-- {
+		off := p*r - p*(p-1)/2
+		copy(g.Data[p*r+p:(p+1)*r], g.Data[off:off+r-p])
 	}
-	// Mirror the upper triangle.
 	for p := 0; p < r; p++ {
 		for q := p + 1; q < r; q++ {
-			out.Set(q, p, out.At(p, q))
+			g.Data[q*r+p] = g.Data[p*r+q]
 		}
 	}
-	return out
 }
 
 // HadamardInto multiplies dst elementwise by src. Shapes must match.
@@ -99,6 +103,7 @@ func MatMul(a, b *tensor.Matrix) *tensor.Matrix {
 type Cholesky struct {
 	n int
 	l []float64 // row-major lower triangle (full storage)
+	u []float64 // row-major Lᵀ, so back substitution also reads rows
 }
 
 // NewCholesky factors the symmetric matrix v, adding an escalating diagonal
@@ -139,6 +144,7 @@ func (c *Cholesky) Refactor(v *tensor.Matrix) error {
 	if c.n != n || len(c.l) != n*n {
 		c.n = n
 		c.l = make([]float64, n*n)
+		c.u = make([]float64, n*n)
 	}
 	l := c.l
 	jitter := 0.0
@@ -166,6 +172,11 @@ func (c *Cholesky) Refactor(v *tensor.Matrix) error {
 			}
 		}
 		if ok {
+			for i := 0; i < n; i++ {
+				for k := i; k < n; k++ {
+					c.u[i*n+k] = l[k*n+i]
+				}
+			}
 			return nil
 		}
 		if jitter == 0 {
@@ -183,23 +194,7 @@ func (c *Cholesky) SolveVec(b []float64) {
 	if len(b) != c.n {
 		panic(fmt.Sprintf("dense: SolveVec length %d, want %d", len(b), c.n))
 	}
-	n, l := c.n, c.l
-	// Forward substitution L·y = b.
-	for i := 0; i < n; i++ {
-		sum := b[i]
-		for k := 0; k < i; k++ {
-			sum -= l[i*n+k] * b[k]
-		}
-		b[i] = sum / l[i*n+i]
-	}
-	// Back substitution Lᵀ·x = y.
-	for i := n - 1; i >= 0; i-- {
-		sum := b[i]
-		for k := i + 1; k < n; k++ {
-			sum -= l[k*n+i] * b[k]
-		}
-		b[i] = sum / l[i*n+i]
-	}
+	solveRows4(c.n, c.l, c.u, b, b, b, b)
 }
 
 // SolveRowsInPlace overwrites each row b of m with the solution x of
@@ -209,8 +204,27 @@ func (c *Cholesky) SolveRowsInPlace(m *tensor.Matrix) {
 	if m.Cols != c.n {
 		panic(fmt.Sprintf("dense: SolveRowsInPlace cols %d, want %d", m.Cols, c.n))
 	}
-	for i := 0; i < m.Rows; i++ {
-		c.SolveVec(m.Row(i))
+	c.solveRows(m.Data[:m.Rows*m.Cols])
+}
+
+// solveRows solves every c.n-wide row of data in place, four rows per pass
+// through the factor. A short last group repeats its final row, which
+// solveRows4 permits.
+func (c *Cholesky) solveRows(data []float64) {
+	n := c.n
+	if n == 0 {
+		return
+	}
+	for len(data) >= 4*n {
+		solveRows4(n, c.l, c.u, data[:n], data[n:2*n], data[2*n:3*n], data[3*n:4*n]) //gate:allow bounds row-group slices, four per four rows against the O(R²) solve of each
+		data = data[4*n:]
+	}
+	if k := len(data) / n; k > 0 {
+		var b [4][]float64
+		for j := range b {
+			b[j] = data[min(j, k-1)*n:][:n] //gate:allow bounds padded last group, four iterations once per call
+		}
+		solveRows4(n, c.l, c.u, b[0], b[1], b[2], b[3])
 	}
 }
 
@@ -229,27 +243,10 @@ func NormalizeColumnsInto(a *tensor.Matrix, norms []float64) {
 	if len(norms) != a.Cols {
 		panic(fmt.Sprintf("dense: NormalizeColumnsInto norms length %d, want %d", len(norms), a.Cols))
 	}
-	for j := range norms {
-		norms[j] = 0
-	}
-	for i := 0; i < a.Rows; i++ {
-		row := a.Row(i)
-		for j, v := range row {
-			norms[j] += v * v
-		}
-	}
-	for j := range norms {
-		norms[j] = math.Sqrt(norms[j])
-		if norms[j] == 0 {
-			norms[j] = 1
-		}
-	}
-	for i := 0; i < a.Rows; i++ {
-		row := a.Row(i)
-		for j := range row {
-			row[j] /= norms[j]
-		}
-	}
+	data := a.Data[:a.Rows*a.Cols]
+	sumSquares(norms, data)
+	finishNorms(Norm2, norms)
+	divideColumns(data, norms)
 }
 
 // NormalizeColumnsMax scales each column by its max absolute value when that
@@ -267,26 +264,8 @@ func NormalizeColumnsMaxInto(a *tensor.Matrix, norms []float64) {
 	if len(norms) != a.Cols {
 		panic(fmt.Sprintf("dense: NormalizeColumnsMaxInto norms length %d, want %d", len(norms), a.Cols))
 	}
-	for j := range norms {
-		norms[j] = 0
-	}
-	for i := 0; i < a.Rows; i++ {
-		row := a.Row(i)
-		for j, v := range row {
-			if av := math.Abs(v); av > norms[j] {
-				norms[j] = av
-			}
-		}
-	}
-	for j := range norms {
-		if norms[j] < 1 {
-			norms[j] = 1
-		}
-	}
-	for i := 0; i < a.Rows; i++ {
-		row := a.Row(i)
-		for j := range row {
-			row[j] /= norms[j]
-		}
-	}
+	data := a.Data[:a.Rows*a.Cols]
+	maxAbs(norms, data)
+	finishNorms(NormMax, norms)
+	divideColumns(data, norms)
 }

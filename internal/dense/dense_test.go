@@ -15,28 +15,32 @@ func randMatrix(rows, cols int, seed int64) *tensor.Matrix {
 	return m
 }
 
+// TestGramMatchesMatMul checks Gram against a brute-force AᵀA across
+// ranks and row counts that leave 0–3 rows after the four-row groups.
 func TestGramMatchesMatMul(t *testing.T) {
-	a := randMatrix(13, 5, 1)
-	g := Gram(a, nil)
-	// Brute force AᵀA.
-	want := tensor.NewMatrix(5, 5)
-	for p := 0; p < 5; p++ {
-		for q := 0; q < 5; q++ {
-			s := 0.0
-			for i := 0; i < 13; i++ {
-				s += a.At(i, p) * a.At(i, q)
+	for _, r := range []int{1, 2, 5, 32} {
+		for _, n := range []int{0, 1, 3, 4, 6, 13, 101} {
+			a := randMatrix(n, r, int64(n*r+1))
+			g := Gram(a, nil)
+			want := tensor.NewMatrix(r, r)
+			for p := 0; p < r; p++ {
+				for q := 0; q < r; q++ {
+					s := 0.0
+					for i := 0; i < n; i++ {
+						s += a.At(i, p) * a.At(i, q)
+					}
+					want.Set(p, q, s)
+				}
 			}
-			want.Set(p, q, s)
-		}
-	}
-	if d := g.MaxAbsDiff(want); d > 1e-12 {
-		t.Fatalf("Gram differs from brute force by %g", d)
-	}
-	// Symmetry.
-	for p := 0; p < 5; p++ {
-		for q := 0; q < 5; q++ {
-			if g.At(p, q) != g.At(q, p) {
-				t.Fatalf("Gram not symmetric at (%d,%d)", p, q)
+			if d := g.MaxAbsDiff(want); d > 1e-12 {
+				t.Fatalf("R=%d n=%d: Gram differs from brute force by %g", r, n, d)
+			}
+			for p := 0; p < r; p++ {
+				for q := 0; q < r; q++ {
+					if g.At(p, q) != g.At(q, p) {
+						t.Fatalf("R=%d n=%d: Gram not symmetric at (%d,%d)", r, n, p, q)
+					}
+				}
 			}
 		}
 	}

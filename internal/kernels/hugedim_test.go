@@ -21,11 +21,13 @@ import (
 // The dense per-mode state (factor matrices, accumulation buffers) is
 // allocated at its full near-2^31-row extent but only the handful of rows
 // the non-zeros reference is ever written, so the footprint is virtual:
-// Go's large fresh allocations are lazily backed and the test touches a
-// few pages of each. For the same reason the test never runs a dense
-// full-matrix scan — Reset, Reduce and Reference would each stream tens
-// of gigabytes — and instead reads the touched rows out of the buffers
-// directly and compares them against a sparse per-row reference.
+// the huge buffers are anonymous MAP_NORESERVE mappings (hugeSlice), which
+// the kernel backs page by page on first touch without counting the full
+// extent against its overcommit limit, and the test touches a few pages of
+// each. For the same reason the test never runs a dense full-matrix scan —
+// Reset, Reduce and Reference would each stream tens of gigabytes — and
+// instead reads the touched rows out of the buffers directly and compares
+// them against a sparse per-row reference.
 func TestHugeDimBoundary(t *testing.T) {
 	const (
 		nnz  = 96
@@ -95,7 +97,7 @@ func TestHugeDimBoundary(t *testing.T) {
 	d := tt.Order()
 	factors := make([]*tensor.Matrix, d)
 	for m := 0; m < d; m++ {
-		factors[m] = tensor.NewMatrix(tt.Dims[m], rank)
+		factors[m] = &tensor.Matrix{Rows: tt.Dims[m], Cols: rank, Data: hugeSlice[float64](t, tt.Dims[m]*rank)}
 	}
 	rng := rand.New(rand.NewSource(99))
 	for k := 0; k < tt.NNZ(); k++ {
@@ -119,21 +121,17 @@ func TestHugeDimBoundary(t *testing.T) {
 	RootMTTKRP(tree, lf, out0, partials, part)
 	checkSparseRows(t, tt, factors, tree.Perm()[0], out0.Row, "root")
 
-	// One shared accumulation buffer, sized for the largest level, serves
-	// every huge mode: the kernels index output rows by fiber id without
-	// consulting the buffer's nominal row count, and allocating a second
-	// near-2^31-row buffer after freeing the first would land on a reused
-	// span, forcing the runtime to memclr the full tens-of-gigabytes
-	// extent (fresh virtual memory is handed out already zero, so the
-	// one-time allocation costs nothing). A fresh buffer is also already
-	// zeroed; Reset would be the same full-extent clear.
+	// One shared CAS-accumulated buffer, sized for the largest level,
+	// serves every huge mode: the kernels index output rows by fiber id
+	// without consulting the buffer's nominal row count. A fresh mapping is
+	// already zero; Reset would be a full-extent clear.
 	maxRows := 0
 	for _, n := range tree.Dims() {
 		if n > maxRows {
 			maxRows = n
 		}
 	}
-	ob := NewOutBuf(maxRows, rank, T, 0)
+	ob := &OutBuf{rows: maxRows, cols: rank, t: T, ops: opsFor(rank), shared: hugeSlice[uint64](t, maxRows*rank)}
 	for u := 1; u < d; u++ {
 		ModeMTTKRP(tree, lf, u, partials, ob, part)
 		checkSparseRows(t, tt, factors, tree.Perm()[u], func(row int) []float64 {

@@ -88,6 +88,16 @@ func Default() *Manifest {
 			{Func: "par.Blocks", Note: "thread launcher wrapping every parallel kernel"},
 			{Func: "par.Do", Note: "thread launcher wrapping every parallel kernel"},
 			{Func: "sched.NewPartition", Note: "nnz-balanced partition walk (Alg. 3), O(nnz) leaf scan at build time"},
+			{Func: "dense.solveRows4", Note: "four-row interleaved forward/back substitution, O(R²) per factor row on every mode update"},
+			{Func: "dense.gramRows4", Note: "four-row packed Gram accumulation, O(R²) per factor row on every mode update"},
+			{Func: "dense.gramRow1", Note: "packed Gram tail for the last 1-3 rows of a chunk"},
+			{Func: "dense.gramRows", Note: "row-group driver of the packed Gram, once per factor chunk"},
+			{Func: "dense.Cholesky.solveRows", Note: "row-group driver of the solve, once per factor chunk"},
+			{Func: "dense.UpdateScratch.solveChunks", Note: "dense-update pass 1 chunk body: copy, solve, clamp, column statistic"},
+			{Func: "dense.UpdateScratch.gramChunks", Note: "dense-update pass 2 chunk body: scale and packed Gram partial"},
+			{Func: "dense.sumSquares", Note: "per-chunk column sums of squares, O(rows·R) in the first iteration"},
+			{Func: "dense.maxAbs", Note: "per-chunk column max, O(rows·R) on every later mode update"},
+			{Func: "dense.divideColumns", Note: "column scaling, O(rows·R) on every mode update"},
 		},
 		// Hand-written shape rules for the variable-length scalar
 		// primitives; vecShapeRules() adds one per generated R-blocked
@@ -105,6 +115,14 @@ func Default() *Manifest {
 			{
 				Func: "kernels.hadamardInto", Note: "8-wide unrolled elementwise product",
 				MaxCalls: 0, MaxLoopCalls: 0, MaxBounds: Unchecked, MinFPMul: 8, MaxLoopFrameLoads: 0,
+			},
+			{
+				Func: "dense.solveRows4", Note: "four interleaved substitution chains: call-free, >=4 FP muls per inner loop; the two frame loads are the forward row loop's L base and row-slice bound, the inner loops load nothing from the frame",
+				MaxCalls: 0, MaxLoopCalls: 0, MaxBounds: Unchecked, MinFPMul: 4, MaxLoopFrameLoads: 2,
+			},
+			{
+				Func: "dense.gramRows4", Note: "four-row outer-product accumulation: call-free, >=4 FP muls per inner loop",
+				MaxCalls: 0, MaxLoopCalls: 0, MaxBounds: Unchecked, MinFPMul: 4, MaxLoopFrameLoads: 0,
 			},
 		}, vecShapeRules()...),
 	}

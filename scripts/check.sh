@@ -20,8 +20,11 @@ go run ./cmd/steflint -gates
 echo "==> go test ./..."
 go test ./...
 
-echo "==> go test -race (parallel packages + shared-plan concurrency + int32-boundary dims)"
-go test -race . ./internal/par/ ./internal/sched/ ./internal/kernels/ ./internal/cpd/ ./internal/core/
+echo "==> go test -race (parallel packages + shared-plan concurrency + int32-boundary dims + dense update)"
+go test -race . ./internal/par/ ./internal/sched/ ./internal/kernels/ ./internal/cpd/ ./internal/core/ ./internal/dense/
+
+echo "==> perfbench self-tests (time-to-fit benchmark module: metric names/units, failure counting, span self time)"
+(cd perfbench && go test ./...)
 
 echo "==> arena storage seam (mmap round trip, corrupt-header fuzz seeds, heap-vs-arena solve parity, csf-backing self-check)"
 go test -race -run 'Arena|CSFBacking' . ./internal/csf/ ./internal/lint/

@@ -27,6 +27,7 @@ package stef
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"stef/internal/baselines"
 	"stef/internal/core"
@@ -48,7 +49,10 @@ type Options struct {
 	// Tol is the fit-change convergence tolerance (default 1e-5;
 	// negative runs all iterations).
 	Tol float64
-	// Threads is the worker count (default 1).
+	// Threads is the worker count (default 1) of every parallel phase of a
+	// solve: the MTTKRP engine and the dense factor update after each
+	// MTTKRP (solve, normalisation, Gram). Results do not depend on it
+	// beyond the engine's own floating-point summation order.
 	Threads int
 	// Seed seeds the random initial factors.
 	Seed int64
@@ -96,7 +100,13 @@ type Compiled struct {
 // Compile runs every per-tensor preprocessing step — optional index
 // reordering, CSF construction and the data-movement model search — and
 // returns a handle whose Decompose variants reuse that work across solves.
+// A NaN or infinite value is an error naming its coordinate.
 func Compile(t *tensor.Tensor, opts Options) (*Compiled, error) {
+	for k, v := range t.Vals {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("stef: non-finite value %g at coordinate %v (non-zero %d)", v, t.Coord(k), k)
+		}
+	}
 	var perms reorder.Perms
 	switch opts.Reorder {
 	case "":
@@ -140,7 +150,8 @@ func Compile(t *tensor.Tensor, opts Options) (*Compiled, error) {
 // representations from the COO tensor, which a pre-built tree no longer
 // has (for the same reason Options.Reorder must be empty). The caller
 // keeps ownership of the tree: close its backing only after the handle's
-// last solve.
+// last solve. As in Compile, a NaN or infinite value is an error naming
+// its coordinate.
 func CompileTree(tree *csf.Tree, opts Options) (*Compiled, error) {
 	if opts.Engine != "" && opts.Engine != "stef" {
 		return nil, fmt.Errorf("stef: engine %q cannot run from a pre-built tree (needs the COO tensor); use engine \"stef\"", opts.Engine)
@@ -175,7 +186,10 @@ func CompileTree(tree *csf.Tree, opts Options) (*Compiled, error) {
 		dims[m] = tree.Dim(l)
 	}
 	var sq float64
-	for _, v := range tree.ValsLevel() {
+	for k, v := range tree.ValsLevel() {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, fmt.Errorf("stef: non-finite value %g at coordinate %v (non-zero %d)", v, treeCoord(tree, k), k)
+		}
 		sq += v * v
 	}
 	return &Compiled{
@@ -185,6 +199,25 @@ func CompileTree(tree *csf.Tree, opts Options) (*Compiled, error) {
 		solver: cpd.NewSolver(core.NewEngine(plan)),
 		plan:   plan,
 	}, nil
+}
+
+// treeCoord returns the coordinate, in original mode order, of leaf k of
+// the tree: each level's node is found by walking the pointer arrays up
+// from the leaves.
+func treeCoord(tree *csf.Tree, k int) []int32 {
+	d := tree.Order()
+	coord := make([]int32, d)
+	perm := tree.Perm()
+	node := int64(k)
+	for l := d - 1; l >= 0; l-- {
+		coord[perm[l]] = tree.FidLevel(l)[node]
+		if l > 0 {
+			ptr := tree.PtrLevel(l - 1)
+			// The parent p of node is the last one with ptr[p] <= node.
+			node = int64(sort.Search(len(ptr)-1, func(p int) bool { return ptr[p+1] > node }))
+		}
+	}
+	return coord
 }
 
 // OpenArena opens a CSF arena file written by SaveArena (or csf.WriteArena)
@@ -220,7 +253,7 @@ func (c *Compiled) Decompose() (*Result, error) { return c.DecomposeSeed(c.opts.
 // is shared read-only and each call checks a workspace out of the pool.
 func (c *Compiled) DecomposeSeed(seed int64) (*Result, error) {
 	res, err := c.solver.Run(c.dims, c.normX, cpd.Options{
-		Rank: c.opts.Rank, MaxIters: c.opts.MaxIters, Tol: c.opts.Tol, Seed: seed,
+		Rank: c.opts.Rank, MaxIters: c.opts.MaxIters, Tol: c.opts.Tol, Seed: seed, Threads: c.opts.Threads,
 	})
 	if err != nil {
 		return nil, err
