@@ -97,12 +97,8 @@ func accumBench(s *experiments.Suite, ranks, threadList []int, reps int, out io.
 // accumBenchCell builds one plan with the strategy forced and times every
 // non-root mode's Reset / scatter kernel / Reduce phases.
 func accumBenchCell(tt *tensor.Tensor, name string, rank, threads, reps int, cacheBytes int64, forceName string, rule core.AccumRule) (AccumBenchRow, error) {
-	// RemapOff: the cell drives raw kernels against plan.Tree with
-	// original-order factors, so the plan must not be built in packed row
-	// space (plan.Accum and plan.Tree would disagree on row identity).
 	plan, err := core.NewPlan(tt, core.Options{
 		Rank: rank, Threads: threads, CacheBytes: cacheBytes, AccumRule: rule,
-		RemapRule: core.RemapOff,
 	})
 	if err != nil {
 		return AccumBenchRow{}, err

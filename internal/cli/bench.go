@@ -34,7 +34,6 @@ type benchReport struct {
 	SolveBench   []SolveBenchRow                `json:"solvebench,omitempty"`
 	AccumBench   []AccumBenchRow                `json:"accumbench,omitempty"`
 	VecBench     []VecBenchRow                  `json:"vecbench,omitempty"`
-	RemapBench   []RemapBenchRow                `json:"remapbench,omitempty"`
 	ArenaBench   []ArenaBenchRow                `json:"arenabench,omitempty"`
 }
 
@@ -63,7 +62,6 @@ func RunBench(args []string, stdout, stderr io.Writer) int {
 		sbench  = fs.Bool("solvebench", false, "compile-once/solve-many vs per-call planning throughput")
 		abench  = fs.Bool("accumbench", false, "output-accumulation strategy sweep (auto/priv/hybrid/atomic)")
 		vbench  = fs.Bool("vecbench", false, "generic vs R-blocked rank-primitive sweep")
-		rmbench = fs.Bool("remapbench", false, "factor-row remap off-vs-model locality sweep")
 		arbench = fs.Bool("arenabench", false, "arena vs CSF1-stream open latency + heap/mmap solve parity")
 		jsonOut = fs.Bool("json", false, "emit machine-readable JSON results on stdout (tables go to stderr)")
 		ranks   = fs.String("ranks", "32,64", "comma-separated ranks")
@@ -75,12 +73,12 @@ func RunBench(args []string, stdout, stderr io.Writer) int {
 		solves  = fs.Int("solves", 6, "with -solvebench: ALS restarts timed per path")
 		iters   = fs.Int("iters", 10, "with -solvebench: ALS iterations per solve")
 		accum   = fs.String("accum", "auto", "output accumulation strategy for stef engines: auto, priv, hybrid or atomic")
-		athr    = fs.String("accumthreads", "1,2,4,8", "with -accumbench/-vecbench/-remapbench: comma-separated thread counts to sweep")
+		athr    = fs.String("accumthreads", "1,2,4,8", "with -accumbench/-vecbench: comma-separated thread counts to sweep")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if !(*all || *table1 || *table2 || *fig3 || *fig4 || *fig5 || *fig6 || *wd || *mcheck || *ccheck || *scaling || *sbench || *abench || *vbench || *rmbench || *arbench) {
+	if !(*all || *table1 || *table2 || *fig3 || *fig4 || *fig5 || *fig6 || *wd || *mcheck || *ccheck || *scaling || *sbench || *abench || *vbench || *arbench) {
 		fs.Usage()
 		return 2
 	}
@@ -222,17 +220,6 @@ func RunBench(args []string, stdout, stderr io.Writer) int {
 			}
 			r, err := vecBench(s, rankList, threadList, s.Opts.Reps, s.Opts.Out)
 			report.VecBench = r
-			return err
-		}})
-	}
-	if *rmbench {
-		steps = append(steps, step{true, "remapbench", func() error {
-			threadList, err := parseIntList(*athr)
-			if err != nil {
-				return err
-			}
-			r, err := remapBench(s, rankList, threadList, s.Opts.Reps, s.Opts.Out)
-			report.RemapBench = r
 			return err
 		}})
 	}

@@ -27,7 +27,6 @@ func RunStefCPD(args []string, stdout, stderr io.Writer) int {
 		tol     = fs.Float64("tol", 1e-5, "fit-change convergence tolerance (negative: run all iterations)")
 		threads = fs.Int("threads", runtime.GOMAXPROCS(0), "worker threads")
 		seed    = fs.Int64("seed", 42, "random seed for initial factors")
-		remap   = fs.String("remap", "auto", "factor-row locality remap for stef engines: auto, on or off")
 		reorder = fs.String("reorder", "", "optional index reordering: lexi or bfsmcs")
 		export  = fs.String("export", "", "write the resulting factors/lambda to this file")
 	)
@@ -40,7 +39,7 @@ func RunStefCPD(args []string, stdout, stderr io.Writer) int {
 	}
 	opts := stef.Options{
 		Rank: *rank, MaxIters: *iters, Tol: *tol, Seed: *seed,
-		Threads: *threads, Engine: *engine, Reorder: *reorder, Remap: *remap,
+		Threads: *threads, Engine: *engine, Reorder: *reorder,
 	}
 	var (
 		res   *stef.Result

@@ -56,13 +56,7 @@ func vecBench(s *experiments.Suite, ranks, threadList []int, reps int, out io.Wr
 // The plan, factors and partials layout are shared; only the workspaces
 // (whose construction snapshots kernels.BlockedVec) differ.
 func vecBenchCell(tt *tensor.Tensor, name string, rank, threads, reps int, cacheBytes int64) (VecBenchRow, error) {
-	// RemapOff: the cell drives raw kernels against plan.Tree with
-	// original-order factors, so the plan must not be built in packed row
-	// space (plan.Accum and plan.Tree would disagree on row identity).
-	plan, err := core.NewPlan(tt, core.Options{
-		Rank: rank, Threads: threads, CacheBytes: cacheBytes,
-		RemapRule: core.RemapOff,
-	})
+	plan, err := core.NewPlan(tt, core.Options{Rank: rank, Threads: threads, CacheBytes: cacheBytes})
 	if err != nil {
 		return VecBenchRow{}, err
 	}

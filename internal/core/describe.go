@@ -51,25 +51,6 @@ func (p *Plan) Describe(w io.Writer) {
 		}
 		fmt.Fprintln(w)
 	}
-	if p.Remap != nil {
-		anyRemap := false
-		for _, m := range p.Remap {
-			if m != nil {
-				anyRemap = true
-				break
-			}
-		}
-		if anyRemap {
-			fmt.Fprintf(w, "  factor-row remap:")
-			for l := 1; l < d; l++ {
-				if l >= len(p.Remap) || p.Remap[l] == nil {
-					continue
-				}
-				fmt.Fprintf(w, " L%d=%v", l, p.Remap[l])
-			}
-			fmt.Fprintln(w)
-		}
-	}
 	if p.Tree2 != nil {
 		fmt.Fprintf(w, "  STeF2 auxiliary CSF rooted at original mode %d\n", p.Tree2.PermLevel(0))
 	}

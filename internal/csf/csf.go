@@ -47,11 +47,6 @@ type Tree struct {
 	// lifetrace kernel-entry checks read it so a solve against a closed
 	// arena fails loudly instead of faulting mid-kernel.
 	closed uint32
-	// base is the tree a RemapFids view was derived from (nil for trees
-	// that own their storage). A view shares the base's ptr/vals/backing,
-	// so Close delegates upward and Closed follows the base: closing the
-	// base must fail kernels running against the view too.
-	base *Tree
 }
 
 // Backing owns the storage behind a Tree's level arrays. Heap-backed trees
@@ -76,11 +71,6 @@ func (t *Tree) Backing() Backing { return t.backing }
 // After Close on an arena-backed tree, no slice previously taken through
 // the accessor layer may be used.
 func (t *Tree) Close() error {
-	if t.base != nil {
-		// A RemapFids view does not own the backing; closing it closes the
-		// base (and, through the base's stamp, every sibling view).
-		return t.base.Close()
-	}
 	if t.backing == nil {
 		return nil
 	}
@@ -90,15 +80,8 @@ func (t *Tree) Close() error {
 
 // Closed reports whether Close has released this tree's backing. Heap
 // trees (nil backing) never report closed: their storage is GC-owned and
-// stays valid for as long as the tree is reachable. A RemapFids view
-// reports closed as soon as its base does — the shared ptr/vals storage
-// is gone either way.
-func (t *Tree) Closed() bool {
-	if t.base != nil && t.base.Closed() {
-		return true
-	}
-	return atomic.LoadUint32(&t.closed) != 0
-}
+// stays valid for as long as the tree is reachable.
+func (t *Tree) Closed() bool { return atomic.LoadUint32(&t.closed) != 0 }
 
 // Build constructs a CSF tree from t using the given mode permutation
 // (perm[l] is the original mode placed at level l; nil means the

@@ -133,12 +133,6 @@ type AccumPlan struct {
 	Cold []int32
 	// Touched lists every written row, ascending.
 	Touched []int32
-	// Layout, when non-nil, is the factor-row remap the kernels execute
-	// under: Rows, Remap, HotIDs, Cold, Touched and PerThread are all in
-	// *packed* row space (the plan was built from a Remapped census), and
-	// Reduce routes packed row p to original row Layout.Inv[p] so the
-	// caller's output matrix stays in original order.
-	Layout *RowRemap
 	// PerThread[th] is thread th's touched-row journal (AccumPriv Reset).
 	PerThread [][]int32
 	// Diagnostics: total Add calls, Add calls landing in the hot set, and

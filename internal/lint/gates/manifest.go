@@ -79,10 +79,6 @@ func Default() *Manifest {
 			{Func: "kernels.OutBuf.reduceAtomicRows", Note: "shared-buffer copy-out loop, per touched row"},
 			{Func: "kernels.OutBuf.combineHot", Note: "log-T tree combine of the hot replica slabs"},
 			{Func: "kernels.CountRowWrites", Note: "O(nnz) write census behind every accumulation plan"},
-			{Func: "kernels.RowRemap.Pack", Note: "per-launch factor gather into the packed row layout, O(rows·R) on every remapped kernel call"},
-			{Func: "kernels.RowRemap.Unpack", Note: "packed-to-original factor scatter, the inverse of Pack"},
-			{Func: "kernels.BuildRowRemap", Note: "plan-time hot-prefix sort and permutation build from the write census"},
-			{Func: "kernels.RowWrites.Remapped", Note: "plan-time census transport into packed row space, O(rows + journal)"},
 			{Func: "kernels.hadamardAccum", Note: "fiber fold-up, executed once per internal CSF node"},
 			{Func: "kernels.hadamardInto", Note: "downward Khatri-Rao product, executed once per internal CSF node"},
 			{Func: "par.Blocks", Note: "thread launcher wrapping every parallel kernel"},

@@ -17,11 +17,6 @@ type Config struct {
 	// stats). Strategies are save-independent, so every configuration of
 	// one layout shares the same vector.
 	Accum []AccumStrategy
-	// Remap[l] selects the factor-row locality remap for level l (nil
-	// when the Params carried no remap resolution). Like Accum, the
-	// decision is save-independent and shared across one layout's
-	// configurations.
-	Remap []bool
 }
 
 // EnumerateSaves yields every valid memoization vector for an order-d
@@ -51,9 +46,9 @@ func EnumerateSaves(d int) [][]bool {
 func Search(base, swapped Params) (best Config, all []Config) {
 	d := len(base.Dims)
 	for _, save := range EnumerateSaves(d) {
-		all = append(all, Config{Swap: false, Save: save, Cost: base.IterationCost(save), Accum: base.AccumChoices(), Remap: base.RemapChoices()})
+		all = append(all, Config{Swap: false, Save: save, Cost: base.IterationCost(save), Accum: base.AccumChoices()})
 		if swapped.Fibers != nil {
-			all = append(all, Config{Swap: true, Save: save, Cost: swapped.IterationCost(save), Accum: swapped.AccumChoices(), Remap: swapped.RemapChoices()})
+			all = append(all, Config{Swap: true, Save: save, Cost: swapped.IterationCost(save), Accum: swapped.AccumChoices()})
 		}
 	}
 	best = all[0]

@@ -35,7 +35,4 @@ go test -race -tags shadowtrace ./internal/kernels/ ./internal/cpd/
 echo "==> go test -race -tags lifetrace (dynamic lifetime oracle: PROT_NONE quarantine, workspace poisoning)"
 go test -race -tags lifetrace ./...
 
-echo "==> stef-bench -remapbench smoke (factor-row remap off-vs-model, one skewed tensor)"
-go run ./cmd/stef-bench -remapbench -tensors vast-2015-mc1-3d -ranks 32 -accumthreads 1,2 -reps 1 > /dev/null
-
 echo "All checks passed."

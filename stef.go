@@ -69,10 +69,6 @@ type Options struct {
 	// stef/stef2 engines: "" or "auto" (model choice), "priv", "hybrid"
 	// or "atomic".
 	Accum string
-	// Remap controls the census-driven factor-row locality remap for the
-	// stef/stef2 engines: "" or "auto" (model choice, per level), "on"
-	// (force on every level with a census) or "off".
-	Remap string
 	// Reorder optionally relabels tensor indices before decomposition to
 	// improve locality: "" (none), "lexi" (Lexi-Order) or "bfsmcs"
 	// (BFS-MCS), both from Li et al. (ICS'19). Factor matrices are
@@ -102,23 +98,9 @@ type Compiled struct {
 // returns a handle whose Decompose variants reuse that work across solves.
 // A NaN or infinite value is an error naming its coordinate.
 func Compile(t *tensor.Tensor, opts Options) (*Compiled, error) {
-	for k, v := range t.Vals {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return nil, fmt.Errorf("stef: non-finite value %g at coordinate %v (non-zero %d)", v, t.Coord(k), k)
-		}
-	}
-	var perms reorder.Perms
-	switch opts.Reorder {
-	case "":
-	case "lexi":
-		perms = reorder.LexiOrder(t, 3)
-	case "bfsmcs":
-		perms = reorder.BFSMCS(t)
-	default:
-		return nil, fmt.Errorf("stef: unknown reordering %q", opts.Reorder)
-	}
-	if perms != nil {
-		t = reorder.Apply(t, perms)
+	t, perms, err := prepare(t, opts)
+	if err != nil {
+		return nil, err
 	}
 	eng, plan, err := buildEngine(t, opts)
 	if err != nil {
@@ -159,23 +141,11 @@ func CompileTree(tree *csf.Tree, opts Options) (*Compiled, error) {
 	if opts.Reorder != "" {
 		return nil, fmt.Errorf("stef: reordering %q needs the COO tensor; reorder before packing the arena instead", opts.Reorder)
 	}
-	threads := opts.Threads
-	if threads < 1 {
-		threads = 1
-	}
-	rank := opts.Rank
-	if rank <= 0 {
-		rank = 16
-	}
-	accum, err := accumRule(opts.Accum)
+	co, err := coreOptions(opts)
 	if err != nil {
 		return nil, err
 	}
-	remap, err := remapRule(opts.Remap)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := core.NewPlanFromTree(tree, core.Options{Rank: rank, Threads: threads, CacheBytes: opts.CacheBytes, MaxPrivElems: opts.MaxPrivElems, AccumRule: accum, RemapRule: remap})
+	plan, err := core.NewPlanFromTree(tree, co)
 	if err != nil {
 		return nil, err
 	}
@@ -337,28 +307,15 @@ func NewEngine(t *tensor.Tensor, opts Options) (cpd.Engine, error) {
 
 // buildEngine constructs the named engine plus, for stef/stef2, its plan.
 func buildEngine(t *tensor.Tensor, opts Options) (cpd.Engine, *core.Plan, error) {
-	threads := opts.Threads
-	if threads < 1 {
-		threads = 1
-	}
-	rank := opts.Rank
-	if rank <= 0 {
-		rank = 16
-	}
-	accum, err := accumRule(opts.Accum)
+	co, err := coreOptions(opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	remap, err := remapRule(opts.Remap)
-	if err != nil {
-		return nil, nil, err
-	}
+	rank, threads := co.Rank, co.Threads
 	switch opts.Engine {
-	case "", "stef":
-		eng, plan, err := core.NewEngineFor(t, core.Options{Rank: rank, Threads: threads, CacheBytes: opts.CacheBytes, MaxPrivElems: opts.MaxPrivElems, AccumRule: accum, RemapRule: remap})
-		return eng, plan, err
-	case "stef2":
-		eng, plan, err := core.NewEngineFor(t, core.Options{Rank: rank, Threads: threads, CacheBytes: opts.CacheBytes, MaxPrivElems: opts.MaxPrivElems, AccumRule: accum, RemapRule: remap, SecondCSF: true})
+	case "", "stef", "stef2":
+		co.SecondCSF = opts.Engine == "stef2"
+		eng, plan, err := core.NewEngineFor(t, co)
 		return eng, plan, err
 	case "splatt-1":
 		return baselines.NewSplatt(t, baselines.SplattOptions{Copies: 1, Threads: threads, Rank: rank, MaxPrivElems: opts.MaxPrivElems}), nil, nil
@@ -387,52 +344,73 @@ func buildEngine(t *tensor.Tensor, opts Options) (cpd.Engine, *core.Plan, error)
 
 // Plan exposes STeF's planning decisions (chosen layout, memoization set,
 // modeled cost, Table II byte accounting) without running a decomposition.
+// It validates and reorders the tensor exactly as Compile does, so the plan
+// is the one Compile would execute; engines other than "stef" and "stef2"
+// do not plan and are an error.
 func Plan(t *tensor.Tensor, opts Options) (*core.Plan, error) {
-	rank := opts.Rank
-	if rank <= 0 {
-		rank = 16
+	switch opts.Engine {
+	case "", "stef", "stef2":
+	default:
+		return nil, fmt.Errorf("stef: engine %q has no STeF plan (want stef or stef2)", opts.Engine)
 	}
-	threads := opts.Threads
-	if threads < 1 {
-		threads = 1
-	}
-	accum, err := accumRule(opts.Accum)
+	t, _, err := prepare(t, opts)
 	if err != nil {
 		return nil, err
 	}
-	remap, err := remapRule(opts.Remap)
+	co, err := coreOptions(opts)
 	if err != nil {
 		return nil, err
 	}
-	return core.NewPlan(t, core.Options{Rank: rank, Threads: threads, CacheBytes: opts.CacheBytes, MaxPrivElems: opts.MaxPrivElems, AccumRule: accum, RemapRule: remap, SecondCSF: opts.Engine == "stef2"})
+	co.SecondCSF = opts.Engine == "stef2"
+	return core.NewPlan(t, co)
 }
 
-// accumRule parses Options.Accum.
-func accumRule(s string) (core.AccumRule, error) {
-	switch s {
+// prepare rejects a NaN or infinite value, naming its coordinate, and
+// applies Options.Reorder. It returns the tensor the engine runs on and the
+// permutations that map its factors back (nil without reordering).
+func prepare(t *tensor.Tensor, opts Options) (*tensor.Tensor, reorder.Perms, error) {
+	for k, v := range t.Vals {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return nil, nil, fmt.Errorf("stef: non-finite value %g at coordinate %v (non-zero %d)", v, t.Coord(k), k)
+		}
+	}
+	var perms reorder.Perms
+	switch opts.Reorder {
+	case "":
+		return t, nil, nil
+	case "lexi":
+		perms = reorder.LexiOrder(t, 3)
+	case "bfsmcs":
+		perms = reorder.BFSMCS(t)
+	default:
+		return nil, nil, fmt.Errorf("stef: unknown reordering %q", opts.Reorder)
+	}
+	return reorder.Apply(t, perms), perms, nil
+}
+
+// coreOptions resolves the option defaults (rank 16, one thread) and parses
+// Options.Accum into the planner options every engine is built from.
+func coreOptions(opts Options) (core.Options, error) {
+	co := core.Options{Rank: opts.Rank, Threads: opts.Threads, CacheBytes: opts.CacheBytes, MaxPrivElems: opts.MaxPrivElems}
+	if co.Rank <= 0 {
+		co.Rank = 16
+	}
+	if co.Threads < 1 {
+		co.Threads = 1
+	}
+	switch opts.Accum {
 	case "", "auto":
-		return core.AccumModel, nil
+		co.AccumRule = core.AccumModel
 	case "priv":
-		return core.AccumPriv, nil
+		co.AccumRule = core.AccumPriv
 	case "hybrid":
-		return core.AccumHybrid, nil
+		co.AccumRule = core.AccumHybrid
 	case "atomic":
-		return core.AccumAtomic, nil
+		co.AccumRule = core.AccumAtomic
+	default:
+		return co, fmt.Errorf("stef: unknown accumulation strategy %q (want auto, priv, hybrid or atomic)", opts.Accum)
 	}
-	return core.AccumModel, fmt.Errorf("stef: unknown accumulation strategy %q (want auto, priv, hybrid or atomic)", s)
-}
-
-// remapRule parses Options.Remap.
-func remapRule(s string) (core.RemapRule, error) {
-	switch s {
-	case "", "auto":
-		return core.RemapModel, nil
-	case "on":
-		return core.RemapOn, nil
-	case "off":
-		return core.RemapOff, nil
-	}
-	return core.RemapModel, fmt.Errorf("stef: unknown remap rule %q (want auto, on or off)", s)
+	return co, nil
 }
 
 // LoadTensor reads a FROSTT .tns file.

@@ -3,6 +3,7 @@ package stef_test
 import (
 	"math"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"stef"
@@ -43,6 +44,11 @@ func TestDecomposeEveryEngineName(t *testing.T) {
 	if _, err := stef.Decompose(tt, stef.Options{Engine: "bogus"}); err == nil {
 		t.Fatal("unknown engine accepted")
 	}
+	for _, name := range []string{"bogus", "naive"} {
+		if _, err := stef.Plan(tt, stef.Options{Engine: name}); err == nil {
+			t.Fatalf("Plan accepted engine %q, which has no STeF plan", name)
+		}
+	}
 }
 
 // TestDecomposeWithReorder verifies that reordering is transparent: the
@@ -71,6 +77,9 @@ func TestDecomposeWithReorder(t *testing.T) {
 	if _, err := stef.Decompose(tt, stef.Options{Reorder: "bogus"}); err == nil {
 		t.Fatal("unknown reordering accepted")
 	}
+	if _, err := stef.Plan(tt, stef.Options{Reorder: "bogus"}); err == nil {
+		t.Fatal("Plan accepted an unknown reordering")
+	}
 }
 
 func TestPlanFacade(t *testing.T) {
@@ -81,6 +90,25 @@ func TestPlanFacade(t *testing.T) {
 	}
 	if plan.Tree == nil || len(plan.Config.Save) != 3 {
 		t.Fatal("incomplete plan")
+	}
+	// Plan reorders like Compile, so it plans the tensor Compile executes:
+	// the reordered trees agree and differ from the unreordered one.
+	for _, opts := range []stef.Options{{Rank: 8, Reorder: "lexi"}, {Rank: 8, Engine: "stef2", Reorder: "bfsmcs"}} {
+		got, err := stef.Plan(tt, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := stef.Compile(tt, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leaf := tt.Order() - 1
+		if !slices.Equal(got.Tree.FidLevel(leaf), c.Plan().Tree.FidLevel(leaf)) {
+			t.Fatalf("%+v: Plan's leaf fiber ids differ from Compile's", opts)
+		}
+		if slices.Equal(got.Tree.FidLevel(leaf), plan.Tree.FidLevel(leaf)) {
+			t.Fatalf("%+v: Plan's leaf fiber ids match the unreordered plan", opts)
+		}
 	}
 }
 
