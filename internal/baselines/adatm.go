@@ -13,9 +13,8 @@ import (
 
 // AdaTMOptions configures the AdaTM-style engine.
 type AdaTMOptions struct {
-	Threads      int
-	Rank         int
-	MaxPrivElems int64
+	Threads int
+	Rank    int
 }
 
 // adatmEngine is immutable: the CSF, partition and the op-count-chosen memo
@@ -24,7 +23,6 @@ type adatmEngine struct {
 	d       int
 	rank    int
 	threads int
-	maxPriv int64
 	order   []int
 	tree    *csf.Tree
 	part    *sched.Partition
@@ -55,7 +53,7 @@ func (e *adatmEngine) NewWorkspace() cpd.Workspace {
 		scratch:  kernels.NewScratch(e.d, e.rank, e.threads),
 	}
 	for u := 1; u < e.d; u++ {
-		w.bufs[u] = kernels.NewOutBuf(e.tree.Dim(u), e.rank, e.threads, e.maxPriv)
+		w.bufs[u] = kernels.NewOutBuf(e.tree.Dim(u), e.rank, e.threads, 0)
 	}
 	return w
 }
@@ -98,7 +96,6 @@ func NewAdaTM(t *tensor.Tensor, opts AdaTMOptions) cpd.Engine {
 		d:       d,
 		rank:    opts.Rank,
 		threads: opts.Threads,
-		maxPriv: opts.MaxPrivElems,
 		order:   append([]int(nil), perm...),
 		tree:    tree,
 		part:    sched.NewSlicePartitionNNZ(tree, opts.Threads).ToPartition(tree),

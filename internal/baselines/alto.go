@@ -86,9 +86,8 @@ func (a *altoFormat) interleave(coord []int32) uint64 {
 
 // ALTOOptions configures the ALTO-style engine.
 type ALTOOptions struct {
-	Threads      int
-	Rank         int
-	MaxPrivElems int64
+	Threads int
+	Rank    int
 }
 
 // altoEngine is the immutable linearized layout plus scheduling constants.
@@ -98,7 +97,6 @@ type altoEngine struct {
 	nnz     int
 	rank    int
 	threads int
-	maxPriv int64
 	order   []int
 	dims    []int
 }
@@ -118,7 +116,7 @@ func (e *altoEngine) UpdateOrder() []int { return e.order }
 func (e *altoEngine) NewWorkspace() cpd.Workspace {
 	w := &altoWorkspace{bufs: make([]*kernels.OutBuf, e.d)}
 	for m := 0; m < e.d; m++ {
-		w.bufs[m] = kernels.NewOutBuf(e.dims[m], e.rank, e.threads, e.maxPriv)
+		w.bufs[m] = kernels.NewOutBuf(e.dims[m], e.rank, e.threads, 0)
 	}
 	return w
 }
@@ -178,7 +176,6 @@ func NewALTO(t *tensor.Tensor, opts ALTOOptions) (cpd.Engine, error) {
 		nnz:     t.NNZ(),
 		rank:    opts.Rank,
 		threads: opts.Threads,
-		maxPriv: opts.MaxPrivElems,
 		order:   order,
 		dims:    append([]int(nil), t.Dims...),
 	}, nil

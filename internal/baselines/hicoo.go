@@ -106,10 +106,9 @@ func (h *hicooFormat) bytes() int64 {
 
 // HiCOOOptions configures the HiCOO-style engine.
 type HiCOOOptions struct {
-	Threads      int
-	Rank         int
-	BlockBits    uint // log2 block side (default 7, i.e. 128)
-	MaxPrivElems int64
+	Threads   int
+	Rank      int
+	BlockBits uint // log2 block side (default 7, i.e. 128)
 }
 
 // hicooEngine is the immutable blocked layout plus the nnz-balanced thread
@@ -119,7 +118,6 @@ type hicooEngine struct {
 	d       int
 	rank    int
 	threads int
-	maxPriv int64
 	order   []int
 	dims    []int
 	bounds  []int
@@ -140,7 +138,7 @@ func (e *hicooEngine) UpdateOrder() []int { return e.order }
 func (e *hicooEngine) NewWorkspace() cpd.Workspace {
 	w := &hicooWorkspace{bufs: make([]*kernels.OutBuf, e.d)}
 	for m := 0; m < e.d; m++ {
-		w.bufs[m] = kernels.NewOutBuf(e.dims[m], e.rank, e.threads, e.maxPriv)
+		w.bufs[m] = kernels.NewOutBuf(e.dims[m], e.rank, e.threads, 0)
 	}
 	return w
 }
@@ -220,7 +218,6 @@ func NewHiCOO(t *tensor.Tensor, opts HiCOOOptions) (cpd.Engine, error) {
 		d:       d,
 		rank:    opts.Rank,
 		threads: opts.Threads,
-		maxPriv: opts.MaxPrivElems,
 		order:   order,
 		dims:    append([]int(nil), t.Dims...),
 		bounds:  bounds,

@@ -27,8 +27,6 @@ type SplattOptions struct {
 	Threads int
 	// Rank is the decomposition rank.
 	Rank int
-	// MaxPrivElems bounds output privatization.
-	MaxPrivElems int64
 }
 
 // permRootedAt returns a mode permutation with root mode m first and the
@@ -52,7 +50,6 @@ type splattEngine struct {
 	d        int
 	rank     int
 	threads  int
-	maxPriv  int64
 	order    []int
 	base     *csf.Tree
 	basePart *sched.Partition
@@ -84,7 +81,7 @@ func (e *splattEngine) NewWorkspace() cpd.Workspace {
 		scratch: kernels.NewScratch(e.d, e.rank, e.threads),
 	}
 	for u := 1; u < e.d; u++ {
-		w.bufs[u] = kernels.NewOutBuf(e.base.Dim(u), e.rank, e.threads, e.maxPriv)
+		w.bufs[u] = kernels.NewOutBuf(e.base.Dim(u), e.rank, e.threads, 0)
 	}
 	return w
 }
@@ -134,7 +131,6 @@ func NewSplatt(t *tensor.Tensor, opts SplattOptions) cpd.Engine {
 		d:        d,
 		rank:     opts.Rank,
 		threads:  opts.Threads,
-		maxPriv:  opts.MaxPrivElems,
 		order:    append([]int(nil), basePerm...),
 		base:     base,
 		basePart: sched.NewSlicePartitionNNZ(base, opts.Threads).ToPartition(base),

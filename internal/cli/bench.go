@@ -9,7 +9,6 @@ import (
 	"strconv"
 	"strings"
 
-	"stef/internal/core"
 	"stef/internal/experiments"
 )
 
@@ -32,8 +31,6 @@ type benchReport struct {
 	ModelCheck   []experiments.ModelAccuracyRow `json:"modelcheck,omitempty"`
 	CPDCheck     []experiments.CPDCheckRow      `json:"cpdcheck,omitempty"`
 	SolveBench   []SolveBenchRow                `json:"solvebench,omitempty"`
-	AccumBench   []AccumBenchRow                `json:"accumbench,omitempty"`
-	VecBench     []VecBenchRow                  `json:"vecbench,omitempty"`
 	ArenaBench   []ArenaBenchRow                `json:"arenabench,omitempty"`
 }
 
@@ -60,8 +57,6 @@ func RunBench(args []string, stdout, stderr io.Writer) int {
 		ccheck  = fs.Bool("cpdcheck", false, "end-to-end CPD fit parity across engines")
 		scaling = fs.Bool("scaling", false, "modeled strong-scaling study (extension)")
 		sbench  = fs.Bool("solvebench", false, "compile-once/solve-many vs per-call planning throughput")
-		abench  = fs.Bool("accumbench", false, "output-accumulation strategy sweep (auto/priv/hybrid/atomic)")
-		vbench  = fs.Bool("vecbench", false, "generic vs R-blocked rank-primitive sweep")
 		arbench = fs.Bool("arenabench", false, "arena vs CSF1-stream open latency + heap/mmap solve parity")
 		jsonOut = fs.Bool("json", false, "emit machine-readable JSON results on stdout (tables go to stderr)")
 		ranks   = fs.String("ranks", "32,64", "comma-separated ranks")
@@ -72,13 +67,11 @@ func RunBench(args []string, stdout, stderr io.Writer) int {
 		scale   = fs.Float64("scale", 1.0, "non-zero count scale factor")
 		solves  = fs.Int("solves", 6, "with -solvebench: ALS restarts timed per path")
 		iters   = fs.Int("iters", 10, "with -solvebench: ALS iterations per solve")
-		accum   = fs.String("accum", "auto", "output accumulation strategy for stef engines: auto, priv, hybrid or atomic")
-		athr    = fs.String("accumthreads", "1,2,4,8", "with -accumbench/-vecbench: comma-separated thread counts to sweep")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if !(*all || *table1 || *table2 || *fig3 || *fig4 || *fig5 || *fig6 || *wd || *mcheck || *ccheck || *scaling || *sbench || *abench || *vbench || *arbench) {
+	if !(*all || *table1 || *table2 || *fig3 || *fig4 || *fig5 || *fig6 || *wd || *mcheck || *ccheck || *scaling || *sbench || *arbench) {
 		fs.Usage()
 		return 2
 	}
@@ -87,16 +80,11 @@ func RunBench(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(stderr, "stef-bench", err)
 	}
-	accumRule, err := parseAccumRule(*accum)
-	if err != nil {
-		return fail(stderr, "stef-bench", err)
-	}
 	opts := experiments.Options{
 		Ranks:   rankList,
 		Threads: *threads,
 		Reps:    *reps,
 		Scale:   *scale,
-		Accum:   accumRule,
 		Out:     stdout,
 	}
 	if *jsonOut {
@@ -194,32 +182,10 @@ func RunBench(args []string, stdout, stderr io.Writer) int {
 			return err
 		}})
 	}
-	if *abench {
-		steps = append(steps, step{true, "accumbench", func() error {
-			threadList, err := parseIntList(*athr)
-			if err != nil {
-				return err
-			}
-			r, err := accumBench(s, rankList, threadList, s.Opts.Reps, s.Opts.Out)
-			report.AccumBench = r
-			return err
-		}})
-	}
 	if *arbench {
 		steps = append(steps, step{true, "arenabench", func() error {
 			r, err := arenaBench(s, rankList[0], *iters, s.Opts.Reps, s.Opts.Out)
 			report.ArenaBench = r
-			return err
-		}})
-	}
-	if *vbench {
-		steps = append(steps, step{true, "vecbench", func() error {
-			threadList, err := parseIntList(*athr)
-			if err != nil {
-				return err
-			}
-			r, err := vecBench(s, rankList, threadList, s.Opts.Reps, s.Opts.Out)
-			report.VecBench = r
 			return err
 		}})
 	}
@@ -239,21 +205,6 @@ func RunBench(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return 0
-}
-
-// parseAccumRule maps the -accum flag onto core's forcing rule.
-func parseAccumRule(s string) (core.AccumRule, error) {
-	switch s {
-	case "", "auto":
-		return core.AccumModel, nil
-	case "priv":
-		return core.AccumPriv, nil
-	case "hybrid":
-		return core.AccumHybrid, nil
-	case "atomic":
-		return core.AccumAtomic, nil
-	}
-	return core.AccumModel, fmt.Errorf("unknown accumulation strategy %q (want auto, priv, hybrid or atomic)", s)
 }
 
 func parseIntList(s string) ([]int, error) {

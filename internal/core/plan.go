@@ -45,21 +45,6 @@ const (
 	SwapOpposite
 )
 
-// AccumRule selects how non-root MTTKRP outputs are accumulated.
-type AccumRule int
-
-const (
-	// AccumModel uses the data-movement model's per-mode choice among
-	// {priv, hybrid, atomic} (STeF default).
-	AccumModel AccumRule = iota
-	// AccumPriv forces full per-thread privatization on every mode.
-	AccumPriv
-	// AccumHybrid forces the hybrid hot-row strategy on every mode.
-	AccumHybrid
-	// AccumAtomic forces the shared CAS buffer on every mode.
-	AccumAtomic
-)
-
 // Options configures the planner and engine.
 type Options struct {
 	// Rank is the decomposition rank R.
@@ -80,11 +65,6 @@ type Options struct {
 	// SecondCSF enables the STeF2 variant: a second CSF rooted at the
 	// base CSF's leaf mode handles that mode's MTTKRP.
 	SecondCSF bool
-	// MaxPrivElems bounds output privatization (see kernels.OutBuf).
-	MaxPrivElems int64
-	// AccumRule overrides the model's accumulation-strategy choice for
-	// ablations and the bench's -accum forcing flag.
-	AccumRule AccumRule
 }
 
 func (o Options) withDefaults() Options {
@@ -166,12 +146,12 @@ func NewPlan(t *tensor.Tensor, opts Options) (*Plan, error) {
 	// accumulation-cost term, and the exhaustive model search.
 	preStart := time.Now()
 	baseParams := model.ParamsForCache(baseTree.Dims(), baseTree.FiberCounts(), opts.Rank, opts.CacheBytes)
-	baseParams.AttachAccum(levelRowStats(baseTree), opts.Threads, opts.MaxPrivElems)
+	baseParams.AttachAccum(levelRowStats(baseTree), opts.Threads)
 	var swappedParams model.Params
 	if opts.SwapRule != SwapNever {
 		swappedFibers := baseTree.CountSwappedFibers(opts.Threads)
 		swappedParams = model.SwappedParams(baseParams, swappedFibers)
-		swappedParams.AttachAccum(swappedRowStats(baseTree, baseParams.Accum, opts.Threads), opts.Threads, opts.MaxPrivElems)
+		swappedParams.AttachAccum(swappedRowStats(baseTree, baseParams.Accum, opts.Threads), opts.Threads)
 	}
 	best, all := model.Search(baseParams, swappedParams)
 	p.AllConfigs = all
@@ -289,7 +269,7 @@ func NewPlanFromTree(tree *csf.Tree, opts Options) (*Plan, error) {
 	// never costed).
 	preStart := time.Now()
 	params := model.ParamsForCache(tree.Dims(), tree.FiberCounts(), opts.Rank, opts.CacheBytes)
-	params.AttachAccum(levelRowStats(tree), opts.Threads, opts.MaxPrivElems)
+	params.AttachAccum(levelRowStats(tree), opts.Threads)
 	save := bestSaveFor(params)
 	switch opts.SaveRule {
 	case SaveAll:
@@ -370,7 +350,7 @@ func (p *Plan) buildAccum() {
 		st.MultiExact = true
 		stats[u] = st
 	}
-	params.AttachAccum(stats, opts.Threads, opts.MaxPrivElems)
+	params.AttachAccum(stats, opts.Threads)
 	p.Params = params
 	p.Config.Accum = params.AccumChoices()
 	p.Accum = make([]*kernels.AccumPlan, d)
@@ -379,28 +359,11 @@ func (p *Plan) buildAccum() {
 		if rws[u] == nil {
 			continue
 		}
-		strat := kernelStrategy(params.AccumChoice(u))
-		switch opts.AccumRule {
-		case AccumPriv:
-			strat = kernels.AccumPriv
-		case AccumHybrid:
+		strat := kernels.AccumPriv
+		if params.AccumChoice(u) == model.AccumHybrid {
 			strat = kernels.AccumHybrid
-		case AccumAtomic:
-			strat = kernels.AccumAtomic
 		}
 		p.Accum[u] = kernels.PlanAccum(rws[u], opts.Rank, opts.Threads, strat, hotBudget)
-	}
-}
-
-// kernelStrategy maps the model's strategy enum onto the executable one.
-func kernelStrategy(s model.AccumStrategy) kernels.AccumStrategy {
-	switch s {
-	case model.AccumHybrid:
-		return kernels.AccumHybrid
-	case model.AccumAtomic:
-		return kernels.AccumAtomic
-	default:
-		return kernels.AccumPriv
 	}
 }
 

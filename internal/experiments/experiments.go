@@ -42,9 +42,6 @@ type Options struct {
 	CacheBytes int64
 	// Engines restricts the engine set by name (default: all).
 	Engines []string
-	// Accum forces the output-accumulation strategy of the stef/stef2
-	// engines (default core.AccumModel: the model chooses per mode).
-	Accum core.AccumRule
 	// Out receives the rendered tables (default discards).
 	Out io.Writer
 }
@@ -156,24 +153,6 @@ func ExtraEngines() []EngineSpec {
 
 func (s *Suite) engines() []EngineSpec {
 	all := AllEngines()
-	if rule := s.Opts.Accum; rule != core.AccumModel {
-		// Rebind the stef builders with the forced accumulation rule; the
-		// baselines have no OutBuf and are unaffected.
-		for i, e := range all {
-			switch e.Name {
-			case "stef":
-				all[i].Build = func(tt *tensor.Tensor, t, r int, cache int64) (cpd.Engine, error) {
-					eng, _, err := core.NewEngineFor(tt, core.Options{Rank: r, Threads: t, CacheBytes: cache, AccumRule: rule})
-					return eng, err
-				}
-			case "stef2":
-				all[i].Build = func(tt *tensor.Tensor, t, r int, cache int64) (cpd.Engine, error) {
-					eng, _, err := core.NewEngineFor(tt, core.Options{Rank: r, Threads: t, CacheBytes: cache, SecondCSF: true, AccumRule: rule})
-					return eng, err
-				}
-			}
-		}
-	}
 	if len(s.Opts.Engines) == 0 {
 		return all
 	}

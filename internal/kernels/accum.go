@@ -152,10 +152,8 @@ func (p *AccumPlan) String() string {
 	switch p.Strategy {
 	case AccumPriv:
 		return fmt.Sprintf("priv(touched=%d)", len(p.Touched))
-	case AccumHybrid:
-		return fmt.Sprintf("hybrid(hot=%d, direct=%d, cas=%d)", len(p.HotIDs), p.DirectRows, p.CASRows)
 	default:
-		return fmt.Sprintf("atomic(touched=%d)", len(p.Touched))
+		return fmt.Sprintf("hybrid(hot=%d, direct=%d, cas=%d)", len(p.HotIDs), p.DirectRows, p.CASRows)
 	}
 }
 
@@ -192,16 +190,6 @@ func PlanAccum(rw *RowWrites, cols, t int, strat AccumStrategy, hotBudgetElems i
 	switch strat {
 	case AccumPriv:
 		ap.Remap = rw.Writer
-		return ap
-	case AccumAtomic:
-		ap.Remap = make([]int32, rows)
-		for r, w := range rw.Writer {
-			if w == RemapUntouched {
-				ap.Remap[r] = RemapUntouched
-			} else {
-				ap.Remap[r] = RemapColdCAS
-			}
-		}
 		return ap
 	case AccumHybrid:
 		// Hot candidates: shared rows written often enough to amortise a

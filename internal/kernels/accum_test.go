@@ -92,7 +92,7 @@ func TestCountRowWritesLeafHistogram(t *testing.T) {
 	rw := CountRowWrites(tree, part, 2, 2)
 	d := tree.Order()
 	want := make([]int64, tree.Dim(d-1))
-	for _, f := range tree.FidLevel(d-1) {
+	for _, f := range tree.FidLevel(d - 1) {
 		want[f]++
 	}
 	for r, c := range rw.Counts {
@@ -159,12 +159,6 @@ func TestPlanAccumInvariants(t *testing.T) {
 				t.Fatalf("u=%d: priv remap[%d] = %d, census writer %d", u, r, w, rw.Writer[r])
 			}
 		}
-		atom := PlanAccum(rw, cols, threads, AccumAtomic, 0)
-		for _, r := range atom.Touched {
-			if atom.Remap[r] != RemapColdCAS {
-				t.Fatalf("u=%d: atomic touched row %d remaps to %d", u, r, atom.Remap[r])
-			}
-		}
 	}
 }
 
@@ -202,7 +196,8 @@ func runAllModesPlanned(t *testing.T, tt *tensor.Tensor, tree *csf.Tree, part *s
 
 // TestPlannedStrategiesMatchReference drives every accumulation strategy
 // over skewed tensors and thread counts, with budgets forcing empty,
-// partial and saturated hot sets.
+// partial and saturated hot sets. Hybrid with a budget of 1 has no hot
+// rows, so every multi-writer row goes through CAS.
 func TestPlannedStrategiesMatchReference(t *testing.T) {
 	cases := []struct {
 		dims []int
@@ -210,8 +205,8 @@ func TestPlannedStrategiesMatchReference(t *testing.T) {
 		skew []float64
 	}{
 		{[]int{7, 9, 11}, 400, nil},
-		{[]int{3, 5, 700}, 900, []float64{3, 2, 0}},   // hot leaf boundary splits
-		{[]int{2, 300, 5}, 700, []float64{0, 2, 0}},   // two root slices, shared rows
+		{[]int{3, 5, 700}, 900, []float64{3, 2, 0}}, // hot leaf boundary splits
+		{[]int{2, 300, 5}, 700, []float64{0, 2, 0}}, // two root slices, shared rows
 		{[]int{6, 5, 9, 8}, 500, []float64{1.5, 0, 2, 0}},
 	}
 	for _, cs := range cases {
@@ -222,7 +217,7 @@ func TestPlannedStrategiesMatchReference(t *testing.T) {
 			part := sched.NewPartition(tree, threads)
 			save := memoSubsets(d)[1%len(memoSubsets(d))]
 			ctx := fmt.Sprintf("dims=%v T=%d", cs.dims, threads)
-			for _, strat := range []AccumStrategy{AccumPriv, AccumHybrid, AccumAtomic} {
+			for _, strat := range []AccumStrategy{AccumPriv, AccumHybrid} {
 				for _, budget := range []int64{1, int64(3 * threads * 4), 1 << 20} {
 					runAllModesPlanned(t, tt, tree, part, save, 4, strat, budget, ctx)
 				}
@@ -246,8 +241,11 @@ func TestPlannedQuick(t *testing.T) {
 		tree := csf.Build(tt, nil)
 		threads := 1 + int(tRaw)%6
 		part := sched.NewPartition(tree, threads)
-		strat := []AccumStrategy{AccumPriv, AccumHybrid, AccumAtomic}[int(sRaw)%3]
+		strat := []AccumStrategy{AccumPriv, AccumHybrid, AccumHybrid}[int(sRaw)%3]
 		budget := []int64{1, 64, 1 << 18}[int(bRaw)%3]
+		if int(sRaw)%3 == 2 {
+			budget = 1 // hybrid with zero hot rows: every multi-writer row CASes
+		}
 
 		rank := 3
 		factors := tensor.RandomFactors(tt.Dims, rank, seed+1)
@@ -317,7 +315,9 @@ func stressCensus(threads int) *RowWrites {
 // TestOutBufPlannedStress hammers every accumulation path from T real
 // goroutines across repeated Reset/launch/Reduce cycles and checks the
 // reduced values exactly. Run with -race this doubles as the data-race
-// proof for atomicAddFloat, the hot slabs and the direct stores.
+// proof for atomicAddFloat, the hot slabs and the direct stores. The
+// budget-1 hybrid plan has no hot rows, so every multi-writer row takes
+// the CAS path.
 func TestOutBufPlannedStress(t *testing.T) {
 	const threads, cols, iters, launches = 8, 8, 25, 12
 	rw := stressCensus(threads)
@@ -325,10 +325,19 @@ func TestOutBufPlannedStress(t *testing.T) {
 	for i := range src {
 		src[i] = float64(i + 1)
 	}
-	for _, strat := range []AccumStrategy{AccumPriv, AccumHybrid, AccumAtomic} {
-		ap := PlanAccum(rw, cols, threads, strat, int64(4*threads*cols))
-		if strat == AccumHybrid && ap.HotK() != 4 {
-			t.Fatalf("stress fixture: hot set %d, want 4", ap.HotK())
+	for _, cfg := range []struct {
+		strat  AccumStrategy
+		budget int64
+		hotK   int
+	}{
+		{AccumPriv, int64(4 * threads * cols), 0},
+		{AccumHybrid, int64(4 * threads * cols), 4},
+		{AccumHybrid, 1, 0},
+	} {
+		strat := cfg.strat
+		ap := PlanAccum(rw, cols, threads, strat, cfg.budget)
+		if ap.HotK() != cfg.hotK {
+			t.Fatalf("stress fixture %v budget %d: hot set %d, want %d", strat, cfg.budget, ap.HotK(), cfg.hotK)
 		}
 		buf := NewOutBufPlanned(ap)
 		out := tensor.NewMatrix(48, cols)

@@ -32,7 +32,8 @@ const (
 	// writer, CAS adds otherwise.
 	AccumHybrid
 	// AccumAtomic scatters every row into one shared buffer with CAS adds
-	// (the paper's atomic extreme).
+	// (the paper's atomic extreme). Only legacy footprint-rule buffers use
+	// it; the planner chooses between AccumPriv and AccumHybrid.
 	AccumAtomic
 )
 
@@ -76,7 +77,7 @@ type OutBuf struct {
 	t          int
 	plan       *AccumPlan       // nil for legacy footprint-rule buffers
 	priv       []*tensor.Matrix // AccumPriv / legacy privatized
-	shared     []uint64         // float64 bit patterns: atomic + hybrid cold rows
+	shared     []uint64         // float64 bit patterns: legacy CAS + hybrid cold rows
 	hot        []float64        // AccumHybrid: T contiguous k×cols replicas
 	hotK       int              // hot rows per replica
 	ops        vecOps           // rank-vector primitives, R-specialized when cols matches
@@ -122,8 +123,6 @@ func NewOutBufPlanned(ap *AccumPlan) *OutBuf {
 		b.shared = makeShared(ap.Rows, ap.Cols)
 		b.hotK = ap.HotK()
 		b.hot = make([]float64, ap.T*b.hotK*ap.Cols)
-	case AccumAtomic:
-		b.shared = makeShared(ap.Rows, ap.Cols)
 	default:
 		panic(fmt.Sprintf("kernels: NewOutBufPlanned: unknown strategy %v", ap.Strategy))
 	}
@@ -288,12 +287,6 @@ func (b *OutBuf) Reset() {
 			hi := (th + 1) * len(b.plan.Cold) / b.t
 			b.resetCold(lo, hi)
 		})
-	case AccumAtomic:
-		if b.t == 1 {
-			b.resetTouched(0, len(b.plan.Touched))
-			return
-		}
-		par.Blocks(len(b.plan.Touched), b.t, func(_, lo, hi int) { b.resetTouched(lo, hi) })
 	}
 }
 
@@ -328,15 +321,6 @@ func (b *OutBuf) resetCold(lo, hi int) {
 	}
 }
 
-// resetTouched clears the journalled rows Touched[lo:hi] of the shared
-// region.
-func (b *OutBuf) resetTouched(lo, hi int) {
-	for _, r := range b.plan.Touched[lo:hi] {
-		base := int(r) * b.cols
-		clear(b.shared[base : base+b.cols]) //gate:allow bounds journal rows are data-dependent
-	}
-}
-
 // Reduce sums the per-thread state into out, overwriting it, on T threads.
 // Planned buffers read only the rows the plan proves touched: single-writer
 // rows copy exactly one replica, hot rows are folded with a parallel tree
@@ -365,12 +349,6 @@ func (b *OutBuf) Reduce(out *tensor.Matrix) {
 			return
 		}
 		par.Blocks(b.rows, b.t, func(_, lo, hi int) { b.reduceHybridRows(out, lo, hi) })
-	case AccumAtomic:
-		if b.t == 1 {
-			b.reduceAtomicRows(out, 0, b.rows)
-			return
-		}
-		par.Blocks(b.rows, b.t, func(_, lo, hi int) { b.reduceAtomicRows(out, lo, hi) })
 	}
 }
 
@@ -436,22 +414,6 @@ func (b *OutBuf) reduceHybridRows(out *tensor.Matrix, lo, hi int) {
 			base := r * b.cols
 			bitsToFloats(dst, b.shared[base:base+b.cols]) //gate:allow bounds row base bounded by the remap length
 		}
-	}
-}
-
-// reduceAtomicRows converts the shared bit buffer into out rows [lo, hi),
-// zeroing untouched rows.
-func (b *OutBuf) reduceAtomicRows(out *tensor.Matrix, lo, hi int) {
-	remap := b.plan.Remap
-	for i, w := range remap[lo:hi] { //gate:allow bounds row block bounds from par.Blocks
-		r := lo + i
-		dst := out.Row(r) //gate:allow bounds row index within the par.Blocks block
-		if w == RemapUntouched {
-			clear(dst)
-			continue
-		}
-		base := r * b.cols
-		bitsToFloats(dst, b.shared[base:base+b.cols]) //gate:allow bounds row base bounded by the remap length
 	}
 }
 

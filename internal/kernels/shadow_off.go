@@ -23,6 +23,6 @@ func (*shadowState) boundary(th, l int, id int64) {}
 // and cold-direct store against the plan's census (shadow_on.go).
 type outbufShadow struct{}
 
-func (b *OutBuf) shadowReset()                       {}
-func (b *OutBuf) shadowHot(th, row int, slot int32)  {}
-func (b *OutBuf) shadowDirect(th, row int)           {}
+func (b *OutBuf) shadowReset()                      {}
+func (b *OutBuf) shadowHot(th, row int, slot int32) {}
+func (b *OutBuf) shadowDirect(th, row int)          {}

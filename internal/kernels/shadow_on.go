@@ -24,8 +24,8 @@ import (
 type shadowState struct {
 	mu      sync.Mutex
 	part    *sched.Partition
-	owner   map[shadowKey]int  // (level, node) -> claiming thread
-	replica map[[2]int]int64   // (thread, level) -> node of its replica write
+	owner   map[shadowKey]int // (level, node) -> claiming thread
+	replica map[[2]int]int64  // (thread, level) -> node of its replica write
 }
 
 type shadowKey struct {

@@ -30,7 +30,7 @@ func RootMTTKRPSubtrees(tree *csf.Tree, factors []*tensor.Matrix, out *tensor.Ma
 		cLo, cHi := tree.PtrLevel(l)[n], tree.PtrLevel(l)[n+1]
 		if l+1 == d-1 {
 			for k := cLo; k < cHi; k++ {
-				addScaled(tl, tree.ValsLevel()[k], factors[d-1].Row(int(tree.FidLevel(d-1)[k]))) //gate:allow bounds leaf values and factor rows are addressed by stored fiber ids, data-dependent
+				addScaled(tl, tree.ValsLevel()[k], factors[d-1].Row(int(tree.FidLevel(d - 1)[k]))) //gate:allow bounds leaf values and factor rows are addressed by stored fiber ids, data-dependent
 			}
 			return
 		}
@@ -40,7 +40,7 @@ func RootMTTKRPSubtrees(tree *csf.Tree, factors []*tensor.Matrix, out *tensor.Ma
 			if partials.Save[l+1] { //gate:allow bounds level arrays are indexed by the recursion depth, sized to the order
 				copy(partials.P[l+1].Row(int(c)), child) //gate:allow bounds memoized partial row addressed by node id, data-dependent
 			}
-			hadamardAccum(tl, child, factors[l+1].Row(int(tree.FidLevel(l+1)[c]))) //gate:allow bounds factor row addressed by stored fiber id, data-dependent
+			hadamardAccum(tl, child, factors[l+1].Row(int(tree.FidLevel(l + 1)[c]))) //gate:allow bounds factor row addressed by stored fiber id, data-dependent
 		}
 	}
 	for n := lo; n < hi; n++ {
@@ -82,7 +82,7 @@ func ModeMTTKRPSubtrees(tree *csf.Tree, factors []*tensor.Matrix, u int, partial
 		switch {
 		case l+1 == src && src == d-1:
 			for k := cLo; k < cHi; k++ {
-				addScaled(tl, tree.ValsLevel()[k], factors[d-1].Row(int(tree.FidLevel(d-1)[k]))) //gate:allow bounds leaf values and factor rows are addressed by stored fiber ids, data-dependent
+				addScaled(tl, tree.ValsLevel()[k], factors[d-1].Row(int(tree.FidLevel(d - 1)[k]))) //gate:allow bounds leaf values and factor rows are addressed by stored fiber ids, data-dependent
 			}
 		case l+1 == src:
 			for c := cLo; c < cHi; c++ {
@@ -90,7 +90,7 @@ func ModeMTTKRPSubtrees(tree *csf.Tree, factors []*tensor.Matrix, u int, partial
 			}
 		default:
 			for c := cLo; c < cHi; c++ {
-				hadamardAccum(tl, down(l+1, c), factors[l+1].Row(int(tree.FidLevel(l+1)[c]))) //gate:allow bounds factor row addressed by stored fiber id, data-dependent
+				hadamardAccum(tl, down(l+1, c), factors[l+1].Row(int(tree.FidLevel(l + 1)[c]))) //gate:allow bounds factor row addressed by stored fiber id, data-dependent
 			}
 		}
 		return tl
@@ -113,7 +113,7 @@ func ModeMTTKRPSubtrees(tree *csf.Tree, factors []*tensor.Matrix, u int, partial
 			}
 		case u == d-1:
 			for k := cLo; k < cHi; k++ {
-				addScaled(out.Row(int(tree.FidLevel(d-1)[k])), tree.ValsLevel()[k], kcur) //gate:allow bounds leaf values and factor rows are addressed by stored fiber ids, data-dependent
+				addScaled(out.Row(int(tree.FidLevel(d - 1)[k])), tree.ValsLevel()[k], kcur) //gate:allow bounds leaf values and factor rows are addressed by stored fiber ids, data-dependent
 			}
 		case u == src:
 			for c := cLo; c < cHi; c++ {

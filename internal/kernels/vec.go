@@ -128,32 +128,16 @@ var genericVecOps = vecOps{
 	hadamardInto:  hadamardInto,
 }
 
-// BlockedVec enables the R-blocked specializations for ranks that have
-// one. It exists for the scalar-versus-blocked benchmark sweep
-// (stef-bench -vecbench) and for debugging; it is read at Scratch/OutBuf
-// construction time only, so flip it before building workspaces, never
-// during a solve.
-var BlockedVec = true
-
-// opsFor selects the primitive set for rank-r vectors. The specializations
-// operate on exactly the first r elements, matching the generic
-// first-min(len) contract for the equal-length rank vectors the kernels
-// pass.
+// opsFor selects the primitive set for rank-r vectors: the R-blocked
+// specialization when one exists for r, the generic set otherwise. The
+// specializations operate on exactly the first r elements, matching the
+// generic first-min(len) contract for the equal-length rank vectors the
+// kernels pass.
 func opsFor(r int) vecOps {
-	if BlockedVec {
-		if ops, ok := vecOpsFor(r); ok {
-			return ops
-		}
+	if ops, ok := vecOpsFor(r); ok {
+		return ops
 	}
 	return genericVecOps
-}
-
-// HasBlockedOps reports whether rank r has an R-blocked specialization set
-// (cmd/kernelgen -vec), independent of the BlockedVec toggle. The
-// vectorization benchmark uses it to annotate dispatch outcomes.
-func HasBlockedOps(r int) bool {
-	_, ok := vecOpsFor(r)
-	return ok
 }
 
 func minI64(a, b int64) int64 {

@@ -160,12 +160,8 @@ func bitEqual(t *testing.T, got, want []float64, ctx string) {
 }
 
 // TestOpsForDispatch pins the construction-time dispatch: blocked ranks
-// get their specialization, everything else (and everything when
-// BlockedVec is off) gets the generic set.
+// get their specialization, everything else gets the generic set.
 func TestOpsForDispatch(t *testing.T) {
-	defer func(old bool) { BlockedVec = old }(BlockedVec)
-
-	BlockedVec = true
 	for _, r := range []int{16, 32, 64} {
 		want, ok := vecOpsFor(r)
 		if !ok {
@@ -180,23 +176,18 @@ func TestOpsForDispatch(t *testing.T) {
 			t.Errorf("opsFor(%d) did not fall back to the generic set", r)
 		}
 	}
-
-	BlockedVec = false
-	if got := opsFor(32); fmt.Sprintf("%p", got.addScaled) != fmt.Sprintf("%p", genericVecOps.addScaled) {
-		t.Error("opsFor(32) with BlockedVec off did not return the generic set")
-	}
 }
 
 // TestBlockedEndToEndBitIdentical runs full root- and non-root MTTKRPs at a
-// blocked rank with both primitive sets and requires bit-identical output:
+// blocked rank with both primitive sets — vecOpsFor(rank) and
+// genericVecOps, installed directly on the Scratch and OutBuf — and
+// requires bit-identical output:
 // the specializations perform exactly the same multiply-adds in exactly the
 // same order as the generic loops, so even parallel runs (deterministic
 // per-thread ranges, deterministic reduction order) must agree to the last
 // bit. Running under -race (scripts/check.sh does) also exercises the
 // dispatch and rebind paths for data races.
 func TestBlockedEndToEndBitIdentical(t *testing.T) {
-	defer func(old bool) { BlockedVec = old }(BlockedVec)
-
 	for _, rank := range []int{16, 32} {
 		tt := tensor.Random([]int{6, 9, 11, 7}, 500, nil, int64(rank))
 		tree := csf.Build(tt, nil)
@@ -205,16 +196,23 @@ func TestBlockedEndToEndBitIdentical(t *testing.T) {
 		factors := tensor.RandomFactors(tt.Dims, rank, 777)
 		lf := LevelFactors(factors, tree.Perm())
 
-		run := func() []*tensor.Matrix {
+		blockedOps, ok := vecOpsFor(rank)
+		if !ok {
+			t.Fatalf("R=%d has no specialization", rank)
+		}
+		run := func(ops vecOps) []*tensor.Matrix {
 			partials := NewPartials(tree, rank, save)
+			sc := NewScratch(tt.Order(), rank, part.T)
+			sc.ops = ops
 			var outs []*tensor.Matrix
 			out0 := tensor.NewMatrix(tree.Dim(0), rank)
-			RootMTTKRP(tree, lf, out0, partials, part)
+			RootMTTKRPWith(tree, lf, out0, partials, part, sc)
 			outs = append(outs, out0)
 			for u := 1; u < tt.Order(); u++ {
 				buf := NewOutBuf(tree.Dim(u), rank, part.T, 0)
+				buf.ops = ops
 				buf.Reset()
-				ModeMTTKRP(tree, lf, u, partials, buf, part)
+				ModeMTTKRPWith(tree, lf, u, partials, buf, part, sc)
 				got := tensor.NewMatrix(tree.Dim(u), rank)
 				buf.Reduce(got)
 				outs = append(outs, got)
@@ -222,10 +220,8 @@ func TestBlockedEndToEndBitIdentical(t *testing.T) {
 			return outs
 		}
 
-		BlockedVec = true
-		blocked := run()
-		BlockedVec = false
-		scalar := run()
+		blocked := run(blockedOps)
+		scalar := run(genericVecOps)
 
 		for u := range blocked {
 			bitEqual(t, blocked[u].Data, scalar[u].Data, fmt.Sprintf("rank=%d mode(level%d)", rank, u))

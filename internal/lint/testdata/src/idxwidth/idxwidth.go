@@ -19,37 +19,37 @@ type tree struct {
 
 // Narrow packs an nnz-scale count into 32 bits without a guard.
 //
-//idx: k nnz
+// idx: k nnz
 func Narrow(k int64) int32 {
 	return int32(k) // want "narrowing conversion"
 }
 
 // NarrowGuarded routes the same pack through the checked guard: silent.
 //
-//idx: k nnz
+// idx: k nnz
 func NarrowGuarded(k int64) int32 {
 	return idx.Must32(k)
 }
 
 // Product multiplies two nnz-scale counts; 2^80 cannot fit int64.
 //
-//idx: a nnz
-//idx: b nnz
+// idx: a nnz
+// idx: b nnz
 func Product(a, b int64) int64 {
 	return a * b // want "cannot fit int64"
 }
 
 // ProductGuarded performs the same multiply behind the overflow guard.
 //
-//idx: a nnz
-//idx: b nnz
+// idx: a nnz
+// idx: b nnz
 func ProductGuarded(a, b int64) int64 {
 	return idx.Mul(a, b)
 }
 
 // LoopNarrow narrows a loop counter whose condition bound is nnz-scale.
 //
-//idx: n nnz
+// idx: n nnz
 func LoopNarrow(n int64) int32 {
 	var last int32
 	for i := int64(0); i < n; i++ {
@@ -84,7 +84,7 @@ func IndexWide(s []float64, a, b int32) float64 {
 
 // Unbound's directive names a parameter that does not exist.
 //
-//idx: missing nnz // want "binds nothing"
+// idx: missing nnz // want "binds nothing"
 func Unbound(x int64) int64 {
 	return x
 }

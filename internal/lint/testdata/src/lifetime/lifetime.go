@@ -25,12 +25,12 @@ func (r *res) Close() error { return nil }
 
 // openRes acquires a resource; callers own it on every path.
 //
-//life: return owned
+// life: return owned
 func openRes() (*res, error) { return &res{data: make([]byte, 8)}, nil }
 
 // window returns a view into the resource's backing; it dies with r.
 //
-//life: return view
+// life: return view
 func (r *res) window() []byte { return r.data }
 
 // closeBoth releases both resources; callers of closeBoth inherit the
@@ -133,12 +133,12 @@ type pool struct{}
 
 // acquire draws a workspace from the pool.
 //
-//life: return pooled
+// life: return pooled
 func (p *pool) acquire() *ws { return &ws{buf: make([]float64, 4)} }
 
 // release hands w back to the pool.
 //
-//life: w releases
+// life: w releases
 func (p *pool) release(w *ws) {}
 
 // sink is the escape target for the global-store case.
@@ -191,5 +191,5 @@ func UseAfterRelease(p *pool) float64 {
 	return w.buf[0] // want "use of w after release"
 }
 
-//life: return owned // want "binds nothing"
+// life: return owned // want "binds nothing"
 var unboundTarget int

@@ -95,15 +95,15 @@ type idxTypos struct {
 // lines it does not recognize, so the ownership contract would silently
 // vanish without this check.
 //
-//life: return ownd // want "unknown //life: word"
+// life: return ownd // want "unknown //life: word"
 func lifeKindTypo() *idxTypos { return nil }
 
 // lifeReleaseTypo misspells "releases"; same silent-drop failure mode.
 //
-//life: w releses // want "unknown //life: word"
+// life: w releses // want "unknown //life: word"
 func lifeReleaseTypo(w *idxTypos) {}
 
 // lifeOK is the control: a well-formed annotation stays silent.
 //
-//life: return owned
+// life: return owned
 func lifeOK() *idxTypos { return nil }

@@ -39,7 +39,7 @@ func direct(t int, out []float64, counts map[string]int) {
 		out[th] = 1
 		out[0] = 1 // want "index not derived from thread id or partition bounds"
 		alias := out
-		alias[2] = 1 // want "index not derived from thread id or partition bounds"
+		alias[2] = 1        // want "index not derived from thread id or partition bounds"
 		counts["hits"] = th // want "store to shared map inside parallel callback"
 		local := make([]float64, 4)
 		local[0] = 1 // ok: freshly allocated, private to this callback

@@ -9,11 +9,15 @@ import (
 // *accumulation* cost term. The base model charges every non-root MTTKRP a
 // flat DM_factor write for its scattered output; in reality that cost is
 // strategy-dependent — full per-thread privatization pays O(T·rows·R)
-// Reset/Reduce even when few rows are touched, while a shared atomic buffer
-// serializes on the hot rows that skewed tensors guarantee. Given the
+// Reset/Reduce even when few rows are touched, while shared writes pay a
+// CAS premium on the rows more than one thread touches. Given the
 // per-level row-write histogram (an O(nnz) census), the model scores
-// {priv, hybrid(k), atomic} per level and the configuration search picks
-// the cheapest jointly with memoization and the last-two-mode swap.
+// {priv, hybrid(k)} per level and the configuration search picks the
+// cheapest jointly with memoization and the last-two-mode swap. There is
+// no all-CAS strategy: hybrid with k = 0 already CASes exactly the
+// multi-writer rows and stores plainly to the single-writer ones, so it
+// costs no more than CASing every add unless nearly all writes are
+// shared.
 
 // AccumStrategy is the model's view of an output accumulation strategy;
 // internal/kernels carries the executable twin (core maps between them).
@@ -25,14 +29,12 @@ const (
 	// AccumHybrid: dense per-thread replicas for the hottest rows, shared
 	// writes (plain or CAS) for the cold tail.
 	AccumHybrid
-	// AccumAtomic: one shared output, every add a CAS.
-	AccumAtomic
 )
 
 // AccumStrategies enumerates the strategies in preference order (ties in
 // the score keep the earlier, simpler strategy).
 func AccumStrategies() []AccumStrategy {
-	return []AccumStrategy{AccumPriv, AccumHybrid, AccumAtomic}
+	return []AccumStrategy{AccumPriv, AccumHybrid}
 }
 
 func (s AccumStrategy) String() string {
@@ -41,8 +43,6 @@ func (s AccumStrategy) String() string {
 		return "priv"
 	case AccumHybrid:
 		return "hybrid"
-	case AccumAtomic:
-		return "atomic"
 	}
 	return fmt.Sprintf("accum(%d)", int(s))
 }
@@ -54,8 +54,8 @@ const DefaultPrivCapElems = 1 << 24
 // casOverhead is the modeled extra cost, in element-moves per element, of a
 // CAS add relative to a plain store: the locked read-modify-write cycle,
 // retries, and cache-line ping-pong between colliding cores. Calibrated
-// against the dev host, where forced-atomic MTTKRP kernels measure 6-9x
-// the privatized ones; every atomic add pays it, contended or not.
+// against the dev host, where all-CAS MTTKRP kernels measured 6-9x the
+// privatized ones; every CAS add pays it, contended or not.
 const casOverhead = 6
 
 // RowStats condenses the row-write histogram of one CSF level's MTTKRP
@@ -152,19 +152,16 @@ func (s RowStats) topMass(k int64) int64 {
 // ignored — the root mode accumulates through boundary replicas, not an
 // OutBuf). The best strategy per level is resolved once and memoized;
 // ModeCost then charges the resolved term instead of the flat write
-// approximation. privCap <= 0 selects DefaultPrivCapElems.
+// approximation. Full privatization is a candidate only within
+// DefaultPrivCapElems.
 //
 // The resolved strategies are save-independent: for u < d-1 the output is
 // written once per level-u fiber whether the kernel reads memoized partials
 // or recomputes from the leaves, and the leaf mode always scatters once per
 // non-zero — so one resolution serves every point of the search.
-func (p *Params) AttachAccum(stats []RowStats, threads int, privCap int64) {
-	if privCap <= 0 {
-		privCap = DefaultPrivCapElems
-	}
+func (p *Params) AttachAccum(stats []RowStats, threads int) {
 	p.T = threads
 	p.Accum = stats
-	p.PrivCap = privCap
 	d := len(p.Dims)
 	p.accumStrat = make([]AccumStrategy, d)
 	p.accumCost = make([]Cost, d)
@@ -172,17 +169,9 @@ func (p *Params) AttachAccum(stats []RowStats, threads int, privCap int64) {
 		best := AccumPriv
 		bestC := p.AccumCost(u, AccumPriv)
 		if threads > 1 {
-			cands := []AccumStrategy{AccumHybrid, AccumAtomic}
-			if !p.privFits(u) {
-				// Over the privatization budget: hybrid and atomic only.
-				best = AccumHybrid
-				bestC = p.AccumCost(u, AccumHybrid)
-				cands = cands[1:]
-			}
-			for _, s := range cands {
-				if c := p.AccumCost(u, s); c.Total() < bestC.Total() {
-					best, bestC = s, c
-				}
+			// Over the privatization budget hybrid is the only candidate.
+			if c := p.AccumCost(u, AccumHybrid); !p.privFits(u) || c.Total() < bestC.Total() {
+				best, bestC = AccumHybrid, c
 			}
 		}
 		p.accumStrat[u] = best
@@ -209,7 +198,7 @@ func (p Params) AccumChoices() []AccumStrategy { return p.accumStrat }
 // privFits reports whether full privatization of level u's output is
 // within the footprint budget.
 func (p Params) privFits(u int) bool {
-	return int64(p.Dims[u])*int64(p.R)*int64(p.T) <= p.PrivCap
+	return int64(p.Dims[u])*int64(p.R)*int64(p.T) <= DefaultPrivCapElems
 }
 
 // hotBudgetElems is the footprint budget for the hybrid strategy's dense
@@ -288,15 +277,6 @@ func (p Params) AccumCost(u int, s AccumStrategy) Cost {
 		c.Writes += rows * R             // Reduce: the output matrix
 	case AccumHybrid:
 		return p.hybridCostAt(u, p.HotPick(u))
-	case AccumAtomic:
-		vol := p.dmOut(u, st.Touched, W)
-		c.Reads += vol // CAS load
-		c.Writes += vol
-		// Every add is a locked RMW, contended or not.
-		c.Reads += casOverhead * W * R
-		c.Writes += st.Touched * R // Reset
-		c.Reads += st.Touched * R  // Reduce
-		c.Writes += rows * R       // Reduce: the output matrix
 	}
 	return c
 }
@@ -317,7 +297,7 @@ func (p Params) hybridCostAt(u int, k int64) Cost {
 		coldTouched = 0
 	}
 	var c Cost
-	c.Reads += st.Writes // remap lookup + branch: ~one element per add
+	c.Reads += st.Writes  // remap lookup + branch: ~one element per add
 	c.Writes += T * k * R // hot slabs: cache-resident by budget, cold misses only
 	cold := p.dmOut(u, coldTouched, coldW)
 	c.Reads += cold

@@ -56,19 +56,19 @@ func TestMultiMassEstimateVsExact(t *testing.T) {
 }
 
 // attached builds an armed Params over a synthetic 3-level profile.
-func attached(dims []int, r, threads int, stats []RowStats, privCap int64) Params {
+func attached(dims []int, r, threads int, stats []RowStats) Params {
 	fibers := make([]int64, len(dims))
 	for l := range fibers {
 		fibers[l] = int64(dims[l]) * 4
 	}
 	p := ParamsForCache(dims, fibers, r, 0)
-	p.AttachAccum(stats, threads, privCap)
+	p.AttachAccum(stats, threads)
 	return p
 }
 
 func TestAttachAccumSingleThreadIsPriv(t *testing.T) {
 	stats := []RowStats{{}, histStats([]int64{5, 3, 2}), histStats([]int64{9, 1})}
-	p := attached([]int{100, 3, 2}, 8, 1, stats, 0)
+	p := attached([]int{100, 3, 2}, 8, 1, stats)
 	for u := 1; u < 3; u++ {
 		if got := p.AccumChoice(u); got != AccumPriv {
 			t.Fatalf("T=1 level %d resolved %v, want priv: one thread never pays reduction", u, got)
@@ -86,7 +86,7 @@ func TestAttachAccumPrivCapExcludesPriv(t *testing.T) {
 		counts[i*997] = 100
 	}
 	stats := []RowStats{{}, NewRowStats(counts)}
-	p := attached([]int{50, 1_000_000}, 16, 8, stats, 0)
+	p := attached([]int{50, 1_000_000}, 16, 8, stats)
 	if p.privFits(1) {
 		t.Fatal("fixture fits the privatization cap; enlarge it")
 	}
@@ -102,7 +102,7 @@ func TestAttachAccumMemoizesMinimum(t *testing.T) {
 	}
 	counts[0], counts[1], counts[2] = 5000, 4000, 3000
 	stats := []RowStats{{}, NewRowStats(counts), histStats([]int64{6, 6, 6, 6})}
-	p := attached([]int{30, 40_000, 4}, 16, 8, stats, 0)
+	p := attached([]int{30, 40_000, 4}, 16, 8, stats)
 	for u := 1; u < 3; u++ {
 		choice := p.AccumChoice(u)
 		chosen := p.AccumCost(u, choice).Total()
@@ -119,40 +119,25 @@ func TestAttachAccumMemoizesMinimum(t *testing.T) {
 
 // TestAccumCostOrdering pins the qualitative shape the calibration encodes.
 func TestAccumCostOrdering(t *testing.T) {
-	// Skewed multi-writer mass: atomic pays the casOverhead premium on every
-	// add and must lose to both privatized strategies.
-	counts := make([]int64, 10_000)
-	for i := range counts {
-		counts[i] = 10
-	}
-	stats := []RowStats{{}, NewRowStats(counts)}
-	p := attached([]int{40, 10_000}, 16, 8, stats, 0)
-	priv := p.AccumCost(1, AccumPriv).Total()
-	hyb := p.AccumCost(1, AccumHybrid).Total()
-	atom := p.AccumCost(1, AccumAtomic).Total()
-	if atom <= priv || atom <= hyb {
-		t.Fatalf("atomic (%d) not dominated by priv (%d) / hybrid (%d) under uniform multi-writer mass", atom, priv, hyb)
-	}
-
 	// A huge mode with concentrated mass: full privatization pays spilled
 	// replicas plus a rows-proportional Reduce; hybrid's hot set absorbs the
 	// skew and must win.
-	big := make([]int64, 2_000_000)
+	counts := make([]int64, 2_000_000)
 	for i := 0; i < 64; i++ {
-		big[i*31_249] = 10_000
+		counts[i*31_249] = 10_000
 	}
 	for i := 0; i < 100_000; i++ {
-		r := (i*7 + 3) % len(big)
-		if big[r] == 0 {
-			big[r] = 1
+		r := (i*7 + 3) % len(counts)
+		if counts[r] == 0 {
+			counts[r] = 1
 		}
 	}
-	bst := []RowStats{{}, NewRowStats(big)}
-	bp := attached([]int{40, 2_000_000}, 8, 8, bst, 1<<40) // cap lifted: compare all three
-	bpriv := bp.AccumCost(1, AccumPriv).Total()
-	bhyb := bp.AccumCost(1, AccumHybrid).Total()
-	if bhyb >= bpriv {
-		t.Fatalf("hybrid (%d) not under priv (%d) on a huge skewed mode", bhyb, bpriv)
+	stats := []RowStats{{}, NewRowStats(counts)}
+	p := attached([]int{40, 2_000_000}, 8, 8, stats)
+	priv := p.AccumCost(1, AccumPriv).Total()
+	hyb := p.AccumCost(1, AccumHybrid).Total()
+	if hyb >= priv {
+		t.Fatalf("hybrid (%d) not under priv (%d) on a huge skewed mode", hyb, priv)
 	}
 }
 
@@ -162,12 +147,12 @@ func TestHotPickRespectsBudget(t *testing.T) {
 		counts[i] = 50
 	}
 	stats := []RowStats{{}, NewRowStats(counts)}
-	p := attached([]int{40, 100_000}, 32, 8, stats, 1<<40)
+	p := attached([]int{40, 100_000}, 32, 8, stats)
 	k := p.HotPick(1)
 	if maxK := p.hotBudgetElems() / int64(p.T*p.R); k > maxK {
 		t.Fatalf("HotPick k=%d over footprint budget %d", k, maxK)
 	}
-	if p2 := attached([]int{40, 4}, 32, 1, []RowStats{{}, histStats([]int64{9, 9, 9, 9})}, 0); p2.HotPick(1) != 0 {
+	if p2 := attached([]int{40, 4}, 32, 1, []RowStats{{}, histStats([]int64{9, 9, 9, 9})}); p2.HotPick(1) != 0 {
 		t.Fatal("HotPick nonzero at T=1")
 	}
 }
@@ -189,7 +174,7 @@ func TestModeCostUsesAccumTerm(t *testing.T) {
 		}
 		stats[u] = NewRowStats(counts)
 	}
-	base.AttachAccum(stats, 4, 0)
+	base.AttachAccum(stats, 4)
 	if got := base.ModeCost(save, 0); got != before[0] {
 		t.Fatalf("root ModeCost changed by AttachAccum: %v -> %v", before[0], got)
 	}

@@ -42,12 +42,10 @@ type Params struct {
 	// is the non-zero count.
 	Fibers []int64
 
-	// T, Accum and PrivCap arm the accumulation-cost extension (see
-	// AttachAccum in accum.go); zero values leave the base Section IV
-	// model unchanged.
-	T       int
-	Accum   []RowStats
-	PrivCap int64
+	// T and Accum arm the accumulation-cost extension (see AttachAccum in
+	// accum.go); zero values leave the base Section IV model unchanged.
+	T     int
+	Accum []RowStats
 
 	// Memoized per-level strategy resolution; nil until AttachAccum.
 	accumStrat []AccumStrategy

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Repo verification gate: build, vet, steflint, tests, and the race
+# Repo verification gate: build, gofmt, vet, steflint, tests, and the race
 # detector on the parallel packages. CI (.github/workflows/ci.yml) runs
 # these same steps; run this locally before pushing.
 set -euo pipefail
@@ -7,6 +7,14 @@ cd "$(dirname "$0")/.."
 
 echo "==> go build ./..."
 go build ./...
+
+echo "==> gofmt -l ."
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+  echo "gofmt: these files need formatting (run gofmt -w):"
+  echo "$unformatted"
+  exit 1
+fi
 
 echo "==> go vet ./..."
 go vet ./...

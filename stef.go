@@ -62,13 +62,6 @@ type Options struct {
 	Engine string
 	// CacheBytes parameterises STeF's data-movement model (0 = default).
 	CacheBytes int64
-	// MaxPrivElems bounds per-thread output privatization in the MTTKRP
-	// buffers (0 = engine default).
-	MaxPrivElems int64
-	// Accum forces the non-root output accumulation strategy for the
-	// stef/stef2 engines: "" or "auto" (model choice), "priv", "hybrid"
-	// or "atomic".
-	Accum string
 	// Reorder optionally relabels tensor indices before decomposition to
 	// improve locality: "" (none), "lexi" (Lexi-Order) or "bfsmcs"
 	// (BFS-MCS), both from Li et al. (ICS'19). Factor matrices are
@@ -141,11 +134,7 @@ func CompileTree(tree *csf.Tree, opts Options) (*Compiled, error) {
 	if opts.Reorder != "" {
 		return nil, fmt.Errorf("stef: reordering %q needs the COO tensor; reorder before packing the arena instead", opts.Reorder)
 	}
-	co, err := coreOptions(opts)
-	if err != nil {
-		return nil, err
-	}
-	plan, err := core.NewPlanFromTree(tree, co)
+	plan, err := core.NewPlanFromTree(tree, coreOptions(opts))
 	if err != nil {
 		return nil, err
 	}
@@ -307,10 +296,7 @@ func NewEngine(t *tensor.Tensor, opts Options) (cpd.Engine, error) {
 
 // buildEngine constructs the named engine plus, for stef/stef2, its plan.
 func buildEngine(t *tensor.Tensor, opts Options) (cpd.Engine, *core.Plan, error) {
-	co, err := coreOptions(opts)
-	if err != nil {
-		return nil, nil, err
-	}
+	co := coreOptions(opts)
 	rank, threads := co.Rank, co.Threads
 	switch opts.Engine {
 	case "", "stef", "stef2":
@@ -318,20 +304,20 @@ func buildEngine(t *tensor.Tensor, opts Options) (cpd.Engine, *core.Plan, error)
 		eng, plan, err := core.NewEngineFor(t, co)
 		return eng, plan, err
 	case "splatt-1":
-		return baselines.NewSplatt(t, baselines.SplattOptions{Copies: 1, Threads: threads, Rank: rank, MaxPrivElems: opts.MaxPrivElems}), nil, nil
+		return baselines.NewSplatt(t, baselines.SplattOptions{Copies: 1, Threads: threads, Rank: rank}), nil, nil
 	case "splatt-2":
-		return baselines.NewSplatt(t, baselines.SplattOptions{Copies: 2, Threads: threads, Rank: rank, MaxPrivElems: opts.MaxPrivElems}), nil, nil
+		return baselines.NewSplatt(t, baselines.SplattOptions{Copies: 2, Threads: threads, Rank: rank}), nil, nil
 	case "splatt-all":
-		return baselines.NewSplatt(t, baselines.SplattOptions{Copies: -1, Threads: threads, Rank: rank, MaxPrivElems: opts.MaxPrivElems}), nil, nil
+		return baselines.NewSplatt(t, baselines.SplattOptions{Copies: -1, Threads: threads, Rank: rank}), nil, nil
 	case "adatm":
-		return baselines.NewAdaTM(t, baselines.AdaTMOptions{Threads: threads, Rank: rank, MaxPrivElems: opts.MaxPrivElems}), nil, nil
+		return baselines.NewAdaTM(t, baselines.AdaTMOptions{Threads: threads, Rank: rank}), nil, nil
 	case "alto":
-		eng, err := baselines.NewALTO(t, baselines.ALTOOptions{Threads: threads, Rank: rank, MaxPrivElems: opts.MaxPrivElems})
+		eng, err := baselines.NewALTO(t, baselines.ALTOOptions{Threads: threads, Rank: rank})
 		return eng, nil, err
 	case "taco":
 		return baselines.NewTACO(t, baselines.TACOOptions{Threads: threads, Rank: rank}), nil, nil
 	case "hicoo":
-		eng, err := baselines.NewHiCOO(t, baselines.HiCOOOptions{Threads: threads, Rank: rank, MaxPrivElems: opts.MaxPrivElems})
+		eng, err := baselines.NewHiCOO(t, baselines.HiCOOOptions{Threads: threads, Rank: rank})
 		return eng, nil, err
 	case "dtree":
 		eng, err := dtree.NewEngine(t, dtree.Options{Rank: rank, Threads: threads})
@@ -357,10 +343,7 @@ func Plan(t *tensor.Tensor, opts Options) (*core.Plan, error) {
 	if err != nil {
 		return nil, err
 	}
-	co, err := coreOptions(opts)
-	if err != nil {
-		return nil, err
-	}
+	co := coreOptions(opts)
 	co.SecondCSF = opts.Engine == "stef2"
 	return core.NewPlan(t, co)
 }
@@ -388,29 +371,17 @@ func prepare(t *tensor.Tensor, opts Options) (*tensor.Tensor, reorder.Perms, err
 	return reorder.Apply(t, perms), perms, nil
 }
 
-// coreOptions resolves the option defaults (rank 16, one thread) and parses
-// Options.Accum into the planner options every engine is built from.
-func coreOptions(opts Options) (core.Options, error) {
-	co := core.Options{Rank: opts.Rank, Threads: opts.Threads, CacheBytes: opts.CacheBytes, MaxPrivElems: opts.MaxPrivElems}
+// coreOptions resolves the option defaults (rank 16, one thread) into the
+// planner options every engine is built from.
+func coreOptions(opts Options) core.Options {
+	co := core.Options{Rank: opts.Rank, Threads: opts.Threads, CacheBytes: opts.CacheBytes}
 	if co.Rank <= 0 {
 		co.Rank = 16
 	}
 	if co.Threads < 1 {
 		co.Threads = 1
 	}
-	switch opts.Accum {
-	case "", "auto":
-		co.AccumRule = core.AccumModel
-	case "priv":
-		co.AccumRule = core.AccumPriv
-	case "hybrid":
-		co.AccumRule = core.AccumHybrid
-	case "atomic":
-		co.AccumRule = core.AccumAtomic
-	default:
-		return co, fmt.Errorf("stef: unknown accumulation strategy %q (want auto, priv, hybrid or atomic)", opts.Accum)
-	}
-	return co, nil
+	return co
 }
 
 // LoadTensor reads a FROSTT .tns file.
