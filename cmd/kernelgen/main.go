@@ -1,8 +1,6 @@
-// Command kernelgen emits generated kernel sources. The unrolled non-root
-// MTTKRP kernels for one tensor order, the R-blocked rank-vector
-// specializations, and their code-shape certificates are produced by:
+// Command kernelgen emits generated kernel sources: the R-blocked
+// rank-vector specializations and their code-shape certificates.
 //
-//	go run ./cmd/kernelgen -d 5 > internal/kernels/modes5_gen.go
 //	go run ./cmd/kernelgen -vec > internal/kernels/vec_gen.go
 //	go run ./cmd/kernelgen -shape > internal/lint/gates/shape_gen.go
 //
@@ -19,7 +17,6 @@ import (
 )
 
 func main() {
-	d := flag.Int("d", 5, "tensor order to generate mode kernels for")
 	vec := flag.Bool("vec", false, "emit the R-blocked rank-vector primitives (internal/kernels/vec_gen.go)")
 	shape := flag.Bool("shape", false, "emit the shape rules certifying -vec's output (internal/lint/gates/shape_gen.go)")
 	flag.Parse()
@@ -35,7 +32,7 @@ func main() {
 	case *shape:
 		src, err = kernelgen.GenerateShapeRules()
 	default:
-		src, err = kernelgen.Generate(*d)
+		err = fmt.Errorf("pass -vec or -shape")
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "kernelgen:", err)

@@ -21,7 +21,9 @@ func TestSweepZeroAllocs(t *testing.T) {
 	}{
 		{"stef-d3", []int{15, 20, 25}, core.Options{Rank: 8, Threads: 1}},
 		{"stef-d4", []int{8, 10, 12, 14}, core.Options{Rank: 8, Threads: 1}},
+		{"stef-d5", []int{5, 6, 7, 8, 9}, core.Options{Rank: 8, Threads: 1}},
 		{"stef2-d3", []int{15, 20, 25}, core.Options{Rank: 8, Threads: 1, SecondCSF: true}},
+		{"stef2-d4", []int{8, 10, 12, 14}, core.Options{Rank: 8, Threads: 1, SecondCSF: true}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

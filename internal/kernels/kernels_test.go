@@ -81,13 +81,15 @@ func TestMTTKRPAgainstReference(t *testing.T) {
 		{4, 25, 6},
 		{6, 5, 9, 8},
 		{3, 4, 5, 6, 4},
-		{2, 300, 5}, // two root slices: heavy boundary sharing
+		{2, 300, 5},       // two root slices: heavy boundary sharing
+		{3, 4, 200, 2},    // long level-2 fibers under few roots
+		{2, 100, 3, 4, 5}, // order 5 with two root slices
 	}
 	for _, dims := range shapes {
 		tt := tensor.Random(dims, 400, nil, int64(len(dims))*7)
 		d := len(dims)
 		tree := csf.Build(tt, nil)
-		for _, threads := range []int{1, 2, 3, 8} {
+		for _, threads := range []int{1, 2, 3, 8, 9} {
 			part := sched.NewPartition(tree, threads)
 			for _, save := range memoSubsets(d) {
 				ctx := fmt.Sprintf("dims=%v T=%d save=%v", dims, threads, save)

@@ -1,6 +1,3 @@
-//go:generate sh -c "go run stef/cmd/kernelgen -d 3 > modes3_gen.go"
-//go:generate sh -c "go run stef/cmd/kernelgen -d 4 > modes4_gen.go"
-//go:generate sh -c "go run stef/cmd/kernelgen -d 5 > modes5_gen.go"
 //go:generate sh -c "go run stef/cmd/kernelgen -vec > vec_gen.go"
 //go:generate sh -c "go run stef/cmd/kernelgen -shape > ../lint/gates/shape_gen.go"
 
@@ -46,136 +43,136 @@ func ModeMTTKRPWith(tree *csf.Tree, factors []*tensor.Matrix, u int, partials *P
 	sc.check(d, factors[0].Cols, part.T)
 	src := partials.SourceLevel(u)
 
-	// Dispatch to the unrolled specialisations for the common orders;
-	// the generic recursion below is the semantic reference and handles
-	// every other case.
+	// As in RootMTTKRPWith, the escaping par.Do closure is built only on
+	// the multi-threaded branch.
 	sc.shadow.begin(part)
-	switch {
-	case d == 3 && mode3Dispatch(tree, factors, u, src, partials, buf, part, sc):
-	case d == 4 && mode4Dispatch(tree, factors, u, src, partials, buf, part, sc):
-	case d == 5 && mode5Dispatch(tree, factors, u, src, partials, buf, part, sc):
-	default:
-		modeGeneric(tree, factors, u, src, partials, buf, part, sc)
+	if part.T == 1 {
+		modeThread(0, tree, factors, u, src, partials, buf, part, sc)
+	} else {
+		par.Do(part.T, func(th int) { //gate:allow escape multi-threaded launch; the T==1 path above stays allocation-free
+			modeThread(th, tree, factors, u, src, partials, buf, part, sc)
+		})
 	}
 	sc.shadow.end()
 }
 
-// modeGeneric is the order-agnostic recursive kernel behind ModeMTTKRP; it
-// is kept callable directly so tests can cross-check the specialisations.
-func modeGeneric(tree *csf.Tree, factors []*tensor.Matrix, u, src int, partials *Partials, buf *OutBuf, part *sched.Partition, sc *Scratch) {
-	d := tree.Order()
-	par.Do(part.T, func(th int) {
-		s := part.Start[th]
-		e := part.Own[th+1]
-		oLo, oHi := part.OwnedRange(th, src)
-		if oLo >= oHi {
+// modeThread is thread th's share of the mode-u MTTKRP read from source
+// level src. Work is split by source-level fibers: the thread emits the
+// contributions of exactly the source fibers it owns. It runs inline at
+// T == 1 and under par.Do otherwise (see ModeMTTKRPWith).
+//
+// The walk is explicit-stack depth-first, as in rootThread. Opening a
+// node above level u extends the Khatri-Rao row k by the node's factor
+// row (k_0 aliases a factor row). A node one level above u emits its
+// children's output contributions directly, from the leaves (leaf mode)
+// or from P^(u) (Algorithm 6); in the leaf mode a node two levels above u
+// does so for all its children in one flat loop. Otherwise the nodes from
+// level u down to the source recompute t_l (Algorithms 7 and 8): opening
+// clears t_l, and one level above the source folds the source rows in
+// place; closing adds t_u ⊙ k into the output row at level u, or t_l times
+// the node's factor row into the parent's t_{l-1} below it.
+func modeThread(th int, tree *csf.Tree, factors []*tensor.Matrix, u, src int, partials *Partials, buf *OutBuf, part *sched.Partition, sc *Scratch) {
+	oLo, oHi := part.OwnedRange(th, src)
+	if oLo >= oHi {
+		return
+	}
+	zero, addScaled, hadamardAccum, hadamardInto := sc.ops.zero, sc.ops.addScaled, sc.ops.hadamardAccum, sc.ops.hadamardInto
+	lv := sc.launchLevels(th, tree, factors, partials, part)
+	d := len(lv)
+	for l := 1; l < u; l++ {
+		lv[l].k = lv[l].t //gate:allow bounds level descriptors are sized to the order
+	}
+	sl, ul := &lv[src], &lv[u]
+	sl.lo, sl.hi = oLo, oHi
+	// The emission and source operands.
+	vals, ufids, up, sfids, sf, sp := tree.ValsLevel(), ul.fids, ul.p, sl.fids, sl.f, sl.p
+	leafLo, leafHi := lv[d-1].lo, lv[d-1].hi
+	ob := buf.Thread(th)
+	lv[0].at, lv[0].end = part.Start[th][0], minI64(int64(tree.NumFibers(0)), part.Own[th+1][0])
+	for l := 0; ; {
+		x := &lv[l] //gate:allow bounds level descriptor indexed by the walk depth, sized to the order
+		if x.at < x.end {
+			// Open node x.at.
+			n := x.at
+			kid := &lv[l+1]                   //gate:allow bounds level descriptor indexed by the walk depth, sized to the order
+			cLo := maxI64(x.ptr[n], kid.lo)   //gate:allow bounds fiber pointer indexed by a partition-clamped node id, data-dependent
+			cHi := minI64(x.ptr[n+1], kid.hi) //gate:allow bounds fiber pointer indexed by a partition-clamped node id, data-dependent
+			if l < u {
+				if l == 0 {
+					x.k = x.f.Row(int(x.fids[n])) //gate:allow bounds factor row addressed by stored fiber id, data-dependent
+				} else {
+					hadamardInto(x.k, lv[l-1].k, x.f.Row(int(x.fids[n]))) //gate:allow bounds factor row addressed by stored fiber id, data-dependent
+				}
+				k := x.k
+				switch {
+				case l+2 == u && u == d-1:
+					// Leaf mode, the children are leaf parents: extend
+					// k by each child's row and push it down to its
+					// leaves in one flat loop.
+					kk, kptr, kfids, kf := kid.k, kid.ptr, kid.fids, kid.f
+					for c := cLo; c < cHi; c++ {
+						hadamardInto(kk, k, kf.Row(int(kfids[c]))) //gate:allow bounds factor row addressed by stored fiber id, data-dependent
+						kLo := maxI64(kptr[c], leafLo)             //gate:allow bounds fiber pointer indexed by a partition-clamped node id, data-dependent
+						kHi := minI64(kptr[c+1], leafHi)           //gate:allow bounds fiber pointer indexed by a partition-clamped node id, data-dependent
+						for j := kLo; j < kHi; j++ {
+							sc.shadow.own(th, u, j)
+							ob.AddScaled(int(ufids[j]), vals[j], kk) //gate:allow bounds leaf values and output rows are addressed by stored fiber ids, data-dependent
+						}
+					}
+					cLo = cHi
+				case l+1 < u:
+				case u == d-1:
+					// Leaf mode of an order-2 tree: the root nodes are
+					// the leaf parents.
+					for c := cLo; c < cHi; c++ {
+						sc.shadow.own(th, u, c)
+						ob.AddScaled(int(ufids[c]), vals[c], k) //gate:allow bounds leaf values and output rows are addressed by stored fiber ids, data-dependent
+					}
+					cLo = cHi
+				case u == src:
+					// Memoized at exactly level u: one MTTV per owned fiber.
+					for c := cLo; c < cHi; c++ {
+						sc.shadow.own(th, u, c)
+						ob.AddHadamard(int(ufids[c]), k, up.Row(int(c))) //gate:allow bounds output and memoized rows are addressed by stored ids, data-dependent
+					}
+					cLo = cHi
+				}
+			} else {
+				t := x.t
+				zero(t)
+				switch {
+				case l+1 < src:
+				case src == d-1:
+					for c := cLo; c < cHi; c++ {
+						sc.shadow.own(th, src, c)
+						addScaled(t, vals[c], sf.Row(int(sfids[c]))) //gate:allow bounds leaf values and factor rows are addressed by stored fiber ids, data-dependent
+					}
+					cLo = cHi
+				default:
+					for c := cLo; c < cHi; c++ {
+						sc.shadow.own(th, src, c)
+						hadamardAccum(t, sp.Row(int(c)), sf.Row(int(sfids[c]))) //gate:allow bounds memoized and factor rows are addressed by stored ids, data-dependent
+					}
+					cLo = cHi
+				}
+			}
+			kid.at, kid.end = cLo, cHi
+			l++
+			continue
+		}
+		if l == 0 {
 			return
 		}
-		// Resolve the output handle once: the per-thread hot slab / remap /
-		// replica indirection stays out of the emission loops.
-		ob := buf.Thread(th)
-		// kv[l] holds k_l for the current path (levels 1..u-1; k_0
-		// aliases a factor row). tmp[l] accumulates t_l for levels
-		// u..src-1. Both draw their rank vectors from the scratch; the
-		// slot ranges never overlap.
-		kv := make([][]float64, u)
-		for l := 1; l < u; l++ {
-			kv[l] = sc.vec(th, l) //gate:allow bounds scratch slots are sized to the order
+		// Level l is exhausted: close its parent.
+		l--
+		x = &lv[l]
+		c := x.at
+		x.at++
+		switch {
+		case l == u:
+			ob.AddHadamard(int(x.fids[c]), lv[u-1].k, x.t) //gate:allow bounds output row addressed by stored fiber id, data-dependent
+		case l > u:
+			hadamardAccum(lv[l-1].t, x.t, x.f.Row(int(x.fids[c]))) //gate:allow bounds factor row addressed by stored fiber id, data-dependent
 		}
-		tmp := make([][]float64, src)
-		for l := u; l < src; l++ {
-			tmp[l] = sc.vec(th, l) //gate:allow bounds scratch slots are sized to the order
-		}
-		// Rebind the rank-vector primitives to the scratch's R-specialized
-		// set (vec.go); the names shadow the generic package functions on
-		// purpose.
-		zero, addScaled, hadamardAccum, hadamardInto := sc.ops.zero, sc.ops.addScaled, sc.ops.hadamardAccum, sc.ops.hadamardInto
-
-		// down computes t_l for node n at level l (u <= l < src) by
-		// contracting everything below it down to the source level.
-		var down func(l int, n int64) []float64
-		down = func(l int, n int64) []float64 {
-			tl := tmp[l]
-			zero(tl)
-			var cLo, cHi int64
-			if l+1 == src {
-				cLo = maxI64(tree.PtrLevel(l)[n], oLo)
-				cHi = minI64(tree.PtrLevel(l)[n+1], oHi)
-			} else {
-				cLo = maxI64(tree.PtrLevel(l)[n], s[l+1])
-				cHi = minI64(tree.PtrLevel(l)[n+1], e[l+1])
-			}
-			switch {
-			case l+1 == src && src == d-1:
-				for k := cLo; k < cHi; k++ {
-					sc.shadow.own(th, d-1, k)
-					addScaled(tl, tree.ValsLevel()[k], factors[d-1].Row(int(tree.FidLevel(d - 1)[k]))) //gate:allow bounds leaf values and factor rows are addressed by stored fiber ids, data-dependent
-				}
-			case l+1 == src:
-				for c := cLo; c < cHi; c++ {
-					sc.shadow.own(th, src, c)
-					hadamardAccum(tl, partials.P[src].Row(int(c)), factors[src].Row(int(tree.FidLevel(src)[c]))) //gate:allow bounds factor row addressed by stored fiber id, data-dependent
-				}
-			default:
-				for c := cLo; c < cHi; c++ {
-					hadamardAccum(tl, down(l+1, c), factors[l+1].Row(int(tree.FidLevel(l + 1)[c]))) //gate:allow bounds factor row addressed by stored fiber id, data-dependent
-				}
-			}
-			return tl
-		}
-
-		// walk descends levels 0..u-1 building the KRP row, then emits
-		// output contributions at level u.
-		var walk func(l int, n int64, kprev []float64)
-		walk = func(l int, n int64, kprev []float64) {
-			fid := int(tree.FidLevel(l)[n])
-			var kcur []float64
-			if l == 0 {
-				kcur = factors[0].Row(fid)
-			} else {
-				kcur = kv[l]
-				hadamardInto(kcur, kprev, factors[l].Row(fid))
-			}
-			var cLo, cHi int64
-			if l+1 == src {
-				cLo = maxI64(tree.PtrLevel(l)[n], oLo)
-				cHi = minI64(tree.PtrLevel(l)[n+1], oHi)
-			} else {
-				cLo = maxI64(tree.PtrLevel(l)[n], s[l+1])
-				cHi = minI64(tree.PtrLevel(l)[n+1], e[l+1])
-			}
-			switch {
-			case l+1 < u:
-				for c := cLo; c < cHi; c++ {
-					walk(l+1, c, kcur)
-				}
-			case u == d-1:
-				// Leaf mode: pure Khatri-Rao push-down; l+1 is
-				// the leaf level (src == d-1 here).
-				for k := cLo; k < cHi; k++ {
-					sc.shadow.own(th, d-1, k)
-					ob.AddScaled(int(tree.FidLevel(d - 1)[k]), tree.ValsLevel()[k], kcur) //gate:allow bounds leaf values and factor rows are addressed by stored fiber ids, data-dependent
-				}
-			case u == src:
-				// Memoized at exactly level u: one MTTV per
-				// owned fiber (Algorithm 6).
-				for c := cLo; c < cHi; c++ {
-					sc.shadow.own(th, src, c)
-					ob.AddHadamard(int(tree.FidLevel(u)[c]), kcur, partials.P[u].Row(int(c))) //gate:allow bounds factor row addressed by stored fiber id, data-dependent
-				}
-			default:
-				// Recompute t_u below level u from the source
-				// (Algorithms 7 and 8).
-				for c := cLo; c < cHi; c++ {
-					ob.AddHadamard(int(tree.FidLevel(u)[c]), kcur, down(u, c)) //gate:allow bounds factor row addressed by stored fiber id, data-dependent
-				}
-			}
-		}
-
-		rLo := s[0]
-		rHi := minI64(int64(tree.NumFibers(0)), e[0])
-		for n := rLo; n < rHi; n++ {
-			walk(0, n, nil)
-		}
-	})
+	}
 }

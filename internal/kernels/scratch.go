@@ -3,6 +3,8 @@ package kernels
 import (
 	"fmt"
 
+	"stef/internal/csf"
+	"stef/internal/sched"
 	"stef/internal/tensor"
 )
 
@@ -23,6 +25,9 @@ type Scratch struct {
 	// (level 0 stands in for the root output). Kernels must zero the rows
 	// they merge before writing: pooled reuse leaves stale data behind.
 	bound []*tensor.Matrix
+	// levels holds each thread's view of every CSF level, slots+1 entries
+	// per thread, refilled at the top of each thread body (launchLevels).
+	levels []level
 	// ops is the rank-vector primitive set, R-specialized when the rank
 	// has a blocked form (vec.go / vec_gen.go). Kernels rebind the
 	// primitive names from here at the top of each thread body.
@@ -50,6 +55,7 @@ func NewScratch(d, rank, threads int) *Scratch {
 		ops:     opsFor(rank),
 	}
 	s.vecs = make([]float64, threads*s.slots*s.stride)
+	s.levels = make([]level, threads*d)
 	for l := range s.bound {
 		s.bound[l] = tensor.NewMatrix(threads, rank)
 	}
@@ -61,6 +67,49 @@ func NewScratch(d, rank, threads int) *Scratch {
 func (s *Scratch) vec(th, slot int) []float64 {
 	base := (th*s.slots + slot) * s.stride
 	return s.vecs[base : base+s.rank : base+s.rank]
+}
+
+// level is one CSF level as one thread's kernel launch sees it: the
+// level's operands, the thread's share of its nodes, and the kernel's
+// depth-first walk state. The CSF slices and partition bounds live behind
+// pointers the compiler must assume any store could alias; resolving them
+// once per launch lets the walk read a level's operands from one place.
+type level struct {
+	ptr  []int64 // child ranges; nil at the leaf level
+	fids []int32
+	f    *tensor.Matrix // the level's factor
+	p    *tensor.Matrix // memoized P^(l), nil unless saved
+	// lo and hi clamp the level's nodes to the thread's share: the nodes
+	// it touches or, at a non-root kernel's source level, the fibers it
+	// owns. own is its first owned node; a touched node below it is the
+	// shared one whose row goes to the boundary replica.
+	lo, hi, own int64
+	t           []float64 // the thread's accumulator; nil at the leaf level
+	bnd         []float64 // the thread's boundary replica row; nil at the leaf level
+	// at is the node the walk has open at this level and [at, end) the
+	// siblings still to visit; k is the Khatri-Rao row of the open node
+	// (non-root kernels, levels above the output level).
+	at, end int64
+	k       []float64
+}
+
+// launchLevels resolves thread th's view of the levels of tree for one
+// kernel launch.
+func (s *Scratch) launchLevels(th int, tree *csf.Tree, factors []*tensor.Matrix, partials *Partials, part *sched.Partition) []level {
+	d := tree.Order()
+	lv := s.levels[th*(s.slots+1) : th*(s.slots+1)+d]
+	start, end, own := part.Start[th], part.Own[th+1], part.Own[th]
+	for l := range lv {
+		lv[l] = level{
+			fids: tree.FidLevel(l), f: factors[l], p: partials.P[l],
+			lo: start[l], hi: end[l], own: own[l],
+		}
+		if l < d-1 {
+			x := &lv[l]
+			x.ptr, x.t, x.bnd = tree.PtrLevel(l), s.vec(th, l), s.bound[l].Row(th)
+		}
+	}
+	return lv
 }
 
 // check panics unless the scratch fits an order-d kernel launch at the

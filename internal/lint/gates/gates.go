@@ -99,7 +99,7 @@ func (d Diag) String() string {
 // manifest-listed hot function, with no //gate:allow covering it.
 type Violation struct {
 	Diag Diag
-	// Func is the qualified hot function, e.g. "kernels.rootGeneric".
+	// Func is the qualified hot function, e.g. "kernels.rootThread".
 	Func string
 	Rule Rule
 }
@@ -374,7 +374,7 @@ type index struct {
 }
 
 type funcSpan struct {
-	name     string // qualified short name, e.g. "kernels.rootGeneric"
+	name     string // qualified short name, e.g. "kernels.rootThread"
 	from, to int
 }
 

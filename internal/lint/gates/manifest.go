@@ -18,7 +18,7 @@ type Manifest struct {
 
 // Rule marks one function as hot.
 type Rule struct {
-	// Func is the qualified short name, e.g. "kernels.rootGeneric".
+	// Func is the qualified short name, e.g. "kernels.rootThread".
 	Func string
 	// Note records why the function is on the manifest; it is echoed in
 	// failure messages so a gate trip explains itself.
@@ -61,14 +61,12 @@ func Default() *Manifest {
 		},
 		Rules: []Rule{
 			{Func: "kernels.RootMTTKRPWith", Note: "root-mode dispatch (Alg. 4/5), runs once per iteration but owns the boundary-replica setup loop"},
-			{Func: "kernels.rootGeneric", Note: "order-agnostic recursive root kernel; the semantic reference per-nnz path"},
-			{Func: "kernels.root3Thread", Note: "order-3 unrolled root kernel (per-thread body), dominant benchmark path"},
-			{Func: "kernels.root4Thread", Note: "order-4 unrolled root kernel (per-thread body)"},
-			{Func: "kernels.root5Thread", Note: "order-5 unrolled root kernel (per-thread body)"},
+			{Func: "kernels.rootThread", Note: "root kernel per-thread body (Alg. 4/5): depth-first walk over every level, per-nnz"},
+			{Func: "kernels.foldLeaves", Note: "leaf-level axpy loop inlined into the root kernel, once per nonzero"},
 			{Func: "kernels.RootMTTKRPSubtrees", Note: "subtree-parallel root kernel (ablation path), per-nnz"},
 			{Func: "kernels.ModeMTTKRPSubtrees", Note: "subtree-parallel non-root kernel, per-nnz"},
 			{Func: "kernels.ModeMTTKRPWith", Note: "non-root dispatch (Alg. 6-8)"},
-			{Func: "kernels.modeGeneric", Note: "order-agnostic recursive non-root kernel, per-nnz"},
+			{Func: "kernels.modeThread", Note: "non-root kernel per-thread body (Alg. 6-8): depth-first walk over every level, per-nnz"},
 			{Func: "kernels.zero", Note: "rank-vector clear inside every fiber visit; must lower to memclr"},
 			{Func: "kernels.addScaled", Note: "leaf-level axpy, executed once per nonzero"},
 			{Func: "kernels.OutBufThread.AddScaled", Note: "per-add output scatter: hot-replica / direct / CAS dispatch, once per leaf write"},
