@@ -220,15 +220,16 @@ func BenchmarkKernels(b *testing.B) {
 	kernels.RootMTTKRP(tree, lf, out0, memo, part)
 	for u := 1; u < d; u++ {
 		buf := kernels.NewOutBuf(tree.Dim(u), rank, 4, 0)
+		out := tensor.NewMatrix(tree.Dim(u), rank)
 		b.Run(fmt.Sprintf("mode%d/memoized", u), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				buf.Reset()
+				buf.Reset(out)
 				kernels.ModeMTTKRP(tree, lf, u, memo, buf, part)
 			}
 		})
 		b.Run(fmt.Sprintf("mode%d/recompute", u), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				buf.Reset()
+				buf.Reset(out)
 				kernels.ModeMTTKRP(tree, lf, u, noMemo, buf, part)
 			}
 		})

@@ -69,7 +69,7 @@ func (e *adatmEngine) Compute(ws cpd.Workspace, pos int, factors []*tensor.Matri
 		return
 	}
 	buf := w.bufs[pos]
-	buf.Reset()
+	buf.Reset(out)
 	kernels.ModeMTTKRPWith(e.tree, w.lf, pos, w.partials, buf, e.part, w.scratch)
 	buf.Reduce(out)
 }

@@ -128,7 +128,7 @@ func (e *altoEngine) Compute(ws cpd.Workspace, pos int, factors []*tensor.Matrix
 	}
 	u := pos
 	buf := w.bufs[u]
-	buf.Reset()
+	buf.Reset(out)
 	a, d, r := e.a, e.d, e.rank
 	par.Blocks(e.nnz, e.threads, func(th, lo, hi int) {
 		row := make([]float64, r)

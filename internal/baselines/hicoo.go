@@ -150,7 +150,7 @@ func (e *hicooEngine) Compute(ws cpd.Workspace, pos int, factors []*tensor.Matri
 	}
 	u := pos
 	buf := w.bufs[u]
-	buf.Reset()
+	buf.Reset(out)
 	h, d, r, bounds := e.h, e.d, e.rank, e.bounds
 	par.Do(e.threads, func(th int) {
 		row := make([]float64, r)

@@ -108,7 +108,7 @@ func (e *splattEngine) Compute(ws cpd.Workspace, pos int, factors []*tensor.Matr
 		return
 	}
 	buf := w.bufs[pos]
-	buf.Reset()
+	buf.Reset(out)
 	kernels.ModeMTTKRPWith(e.base, w.lf, pos, e.noMemo, buf, e.basePart, w.scratch)
 	buf.Reduce(out)
 }

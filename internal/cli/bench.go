@@ -30,8 +30,6 @@ type benchReport struct {
 	Fig6         []fig6Group                    `json:"fig6,omitempty"`
 	ModelCheck   []experiments.ModelAccuracyRow `json:"modelcheck,omitempty"`
 	CPDCheck     []experiments.CPDCheckRow      `json:"cpdcheck,omitempty"`
-	SolveBench   []SolveBenchRow                `json:"solvebench,omitempty"`
-	ArenaBench   []ArenaBenchRow                `json:"arenabench,omitempty"`
 }
 
 type fig6Group struct {
@@ -56,8 +54,6 @@ func RunBench(args []string, stdout, stderr io.Writer) int {
 		mcheck  = fs.Bool("modelcheck", false, "model validation: predicted vs measured over all configurations")
 		ccheck  = fs.Bool("cpdcheck", false, "end-to-end CPD fit parity across engines")
 		scaling = fs.Bool("scaling", false, "modeled strong-scaling study (extension)")
-		sbench  = fs.Bool("solvebench", false, "compile-once/solve-many vs per-call planning throughput")
-		arbench = fs.Bool("arenabench", false, "arena vs CSF1-stream open latency + heap/mmap solve parity")
 		jsonOut = fs.Bool("json", false, "emit machine-readable JSON results on stdout (tables go to stderr)")
 		ranks   = fs.String("ranks", "32,64", "comma-separated ranks")
 		tensors = fs.String("tensors", "", "comma-separated tensor names (default: all)")
@@ -65,13 +61,11 @@ func RunBench(args []string, stdout, stderr io.Writer) int {
 		threads = fs.Int("threads", runtime.GOMAXPROCS(0), "host worker threads for measured runs")
 		reps    = fs.Int("reps", 2, "timing repetitions (min taken)")
 		scale   = fs.Float64("scale", 1.0, "non-zero count scale factor")
-		solves  = fs.Int("solves", 6, "with -solvebench: ALS restarts timed per path")
-		iters   = fs.Int("iters", 10, "with -solvebench: ALS iterations per solve")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	if !(*all || *table1 || *table2 || *fig3 || *fig4 || *fig5 || *fig6 || *wd || *mcheck || *ccheck || *scaling || *sbench || *arbench) {
+	if !(*all || *table1 || *table2 || *fig3 || *fig4 || *fig5 || *fig6 || *wd || *mcheck || *ccheck || *scaling) {
 		fs.Usage()
 		return 2
 	}
@@ -173,20 +167,6 @@ func RunBench(args []string, stdout, stderr io.Writer) int {
 				engs = strings.Split(*engines, ",")
 			}
 			return s.ThreadScaling(engs, nil, rankList[0])
-		}})
-	}
-	if *sbench {
-		steps = append(steps, step{true, "solvebench", func() error {
-			r, err := solveBench(s, rankList[0], *iters, *solves, s.Opts.Out)
-			report.SolveBench = r
-			return err
-		}})
-	}
-	if *arbench {
-		steps = append(steps, step{true, "arenabench", func() error {
-			r, err := arenaBench(s, rankList[0], *iters, s.Opts.Reps, s.Opts.Out)
-			report.ArenaBench = r
-			return err
 		}})
 	}
 	for _, st := range steps {

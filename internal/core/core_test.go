@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"stef/internal/kernels"
 	"stef/internal/model"
 	"stef/internal/tensor"
 )
@@ -33,11 +32,6 @@ func TestPlanBasics(t *testing.T) {
 	}
 	if plan.CSFBytes <= 0 || plan.FactorBytes <= 0 {
 		t.Fatal("byte accounting missing")
-	}
-	// The model's privatization bound mirrors the kernels' footprint rule;
-	// no code ties the two constants together, so pin them here.
-	if model.DefaultPrivCapElems != kernels.DefaultPrivatizeMaxElems {
-		t.Fatalf("model.DefaultPrivCapElems = %d, kernels.DefaultPrivatizeMaxElems = %d", model.DefaultPrivCapElems, kernels.DefaultPrivatizeMaxElems)
 	}
 }
 

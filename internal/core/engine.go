@@ -97,7 +97,7 @@ func (e *Engine) Compute(ws cpd.Workspace, pos int, factors []*tensor.Matrix, ou
 		kernels.RootMTTKRPWith(plan.Tree2, w.lf2, out, w.partials2, plan.Part2, w.scratch)
 	default:
 		buf := w.bufs[pos]
-		buf.Reset()
+		buf.Reset(out)
 		kernels.ModeMTTKRPWith(tree, w.lf, pos, w.partials, buf, plan.Part, w.scratch)
 		buf.Reduce(out)
 	}

@@ -106,8 +106,7 @@ type Plan struct {
 	BuildTime time.Duration
 	// MemoBytes, CSFBytes and FactorBytes give Table II's accounting.
 	MemoBytes, CSFBytes, FactorBytes int64
-	// Params is the model parameterisation of the chosen layout with
-	// row-write stats attached, so AccumCost is callable on it
+	// Params is the model parameterisation of the chosen layout
 	// (diagnostics, model-accuracy checks).
 	Params model.Params
 	// Accum[u] is the accumulation plan for the level-u MTTKRP output.
@@ -142,16 +141,13 @@ func NewPlan(t *tensor.Tensor, opts Options) (*Plan, error) {
 	baseTree := csf.Build(t, basePerm)
 	p.BuildTime = time.Since(buildStart)
 
-	// Preprocessing (Fig. 5): Algorithm 9, the row-write census for the
-	// accumulation-cost term, and the exhaustive model search.
+	// Preprocessing (Fig. 5): Algorithm 9 and the exhaustive model search.
 	preStart := time.Now()
 	baseParams := model.ParamsForCache(baseTree.Dims(), baseTree.FiberCounts(), opts.Rank, opts.CacheBytes)
-	baseParams.AttachAccum(levelRowStats(baseTree), opts.Threads)
 	var swappedParams model.Params
 	if opts.SwapRule != SwapNever {
 		swappedFibers := baseTree.CountSwappedFibers(opts.Threads)
 		swappedParams = model.SwappedParams(baseParams, swappedFibers)
-		swappedParams.AttachAccum(swappedRowStats(baseTree, baseParams.Accum, opts.Threads), opts.Threads)
 	}
 	best, all := model.Search(baseParams, swappedParams)
 	p.AllConfigs = all
@@ -175,7 +171,7 @@ func NewPlan(t *tensor.Tensor, opts Options) (*Plan, error) {
 			chosenParams = swappedParams
 		}
 		bestForLayout := bestSaveFor(chosenParams)
-		p.Config = model.Config{Swap: swap, Save: bestForLayout, Cost: chosenParams.IterationCost(bestForLayout), Accum: chosenParams.AccumChoices()}
+		p.Config = model.Config{Swap: swap, Save: bestForLayout, Cost: chosenParams.IterationCost(bestForLayout)}
 	} else if swap {
 		chosenParams = swappedParams
 	}
@@ -218,6 +214,8 @@ func NewPlan(t *tensor.Tensor, opts Options) (*Plan, error) {
 		}
 		p.BuildTime += time.Since(start)
 	}
+
+	p.Params = chosenParams
 
 	// Resolve the accumulation plans for the final layout and partition:
 	// the write census walks the same clamped spans as the kernels, so its
@@ -269,7 +267,6 @@ func NewPlanFromTree(tree *csf.Tree, opts Options) (*Plan, error) {
 	// never costed).
 	preStart := time.Now()
 	params := model.ParamsForCache(tree.Dims(), tree.FiberCounts(), opts.Rank, opts.CacheBytes)
-	params.AttachAccum(levelRowStats(tree), opts.Threads)
 	save := bestSaveFor(params)
 	switch opts.SaveRule {
 	case SaveAll:
@@ -280,7 +277,7 @@ func NewPlanFromTree(tree *csf.Tree, opts Options) (*Plan, error) {
 	case SaveNone:
 		save = make([]bool, d)
 	}
-	p.Config = model.Config{Save: save, Cost: params.IterationCost(save), Accum: params.AccumChoices()}
+	p.Config = model.Config{Save: save, Cost: params.IterationCost(save)}
 	p.AllConfigs = []model.Config{p.Config}
 	p.PreprocessTime = time.Since(preStart)
 
@@ -291,6 +288,7 @@ func NewPlanFromTree(tree *csf.Tree, opts Options) (*Plan, error) {
 		p.Part = sched.NewPartition(p.Tree, opts.Threads)
 	}
 
+	p.Params = params
 	accumStart := time.Now()
 	p.buildAccum()
 	p.PreprocessTime += time.Since(accumStart)
@@ -303,67 +301,17 @@ func NewPlanFromTree(tree *csf.Tree, opts Options) (*Plan, error) {
 	return p, nil
 }
 
-// levelRowStats condenses every level's row-write histogram for the
-// model's accumulation-cost term.
-func levelRowStats(tree *csf.Tree) []model.RowStats {
-	d := tree.Order()
-	stats := make([]model.RowStats, d)
-	for u := 1; u < d; u++ {
-		stats[u] = model.NewRowStats(tree.LevelRowCounts(u))
-	}
-	return stats
-}
-
-// swappedRowStats derives the swapped layout's row stats without building
-// the swapped tree: levels 1..d-3 are unchanged, the last two come from
-// the extended Algorithm 9 scan (csf.SwappedRowCounts).
-func swappedRowStats(baseTree *csf.Tree, baseStats []model.RowStats, threads int) []model.RowStats {
-	d := baseTree.Order()
-	stats := make([]model.RowStats, d)
-	copy(stats[:d-2], baseStats[:d-2])
-	d2, leaf := baseTree.SwappedRowCounts(threads)
-	stats[d-2] = model.NewRowStats(d2)
-	stats[d-1] = model.NewRowStats(leaf)
-	return stats
-}
-
-// buildAccum fixes the accumulation plan for every non-root mode. The
-// exact row-write census over the final tree and partition runs first; its
-// counts and single/multi-writer classification replace the search-time
-// histogram estimates before the strategy choice is re-resolved, so the
-// executed choice reflects the partition actually used. The census-backed
-// Params are stored on the plan for diagnostics.
+// buildAccum fixes the accumulation plan of every non-root mode from the
+// write census over the final tree and partition.
 func (p *Plan) buildAccum() {
-	opts := p.Opts
 	d := p.Tree.Order()
-	params := model.ParamsForCache(p.Tree.Dims(), p.Tree.FiberCounts(), opts.Rank, opts.CacheBytes)
-	stats := levelRowStats(p.Tree)
-	rws := make([]*kernels.RowWrites, d)
+	p.Accum = make([]*kernels.AccumPlan, d)
 	for u := 1; u < d; u++ {
 		if u == d-1 && p.Tree2 != nil {
 			continue // STeF2 runs the leaf mode as the auxiliary CSF's root
 		}
 		src := model.SourceLevel(p.Config.Save, u)
-		rws[u] = kernels.CountRowWrites(p.Tree, p.Part, u, src)
-		st := model.NewRowStats(rws[u].Counts)
-		st.MultiMass = rws[u].MultiWriterMass()
-		st.MultiExact = true
-		stats[u] = st
-	}
-	params.AttachAccum(stats, opts.Threads)
-	p.Params = params
-	p.Config.Accum = params.AccumChoices()
-	p.Accum = make([]*kernels.AccumPlan, d)
-	hotBudget := (opts.CacheBytes / 8) / 2
-	for u := 1; u < d; u++ {
-		if rws[u] == nil {
-			continue
-		}
-		strat := kernels.AccumPriv
-		if params.AccumChoice(u) == model.AccumHybrid {
-			strat = kernels.AccumHybrid
-		}
-		p.Accum[u] = kernels.PlanAccum(rws[u], opts.Rank, opts.Threads, strat, hotBudget)
+		p.Accum[u] = kernels.PlanAccum(p.Tree, p.Part, u, src, p.Opts.Rank)
 	}
 }
 

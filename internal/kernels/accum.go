@@ -2,70 +2,37 @@ package kernels
 
 import (
 	"fmt"
-	"sort"
 
 	"stef/internal/csf"
 	"stef/internal/sched"
 )
 
-// DefaultHotBudgetElems bounds the per-strategy hot-row footprint
-// (T·k·cols elements) when the caller does not supply a budget: half of the
-// default 2 MiB cache model, in float64 elements.
-const DefaultHotBudgetElems = 1 << 17
+// Census sentinels: a write census holds, per output row, the one thread
+// that writes it (>= 0) or one of these.
+const (
+	// WriterShared marks a row two or more threads write.
+	WriterShared int32 = -1
+	// WriterNone marks a row no thread writes.
+	WriterNone int32 = -2
+)
 
-// hotWriteFactor is the minimum write count, in multiples of the thread
-// count, for a multi-writer row to be worth a dense per-thread replica: a
-// replica costs T row clears + T row reads per solve, so a row written
-// fewer than ~2T times is cheaper left in the shared buffer.
-const hotWriteFactor = 2
-
-// RowWrites is the write census of one non-root MTTKRP output: the result
-// of the O(nnz) counting pass that walks the same partition-clamped node
-// spans as the kernel itself.
-type RowWrites struct {
-	// Counts[r] is the number of Add calls targeting row r, summed over
-	// threads. The census walks each thread's full clamped span, so counts
-	// are exact for u >= src and a per-thread superset for u < src (where
-	// the kernel may skip span prefixes with no live ancestor) — writer
-	// classification errs only toward more sharing, never less.
-	Counts []int64
-	// Writer[r] is the single writing thread, RemapColdCAS when two or
-	// more threads write r, or RemapUntouched.
-	Writer []int32
-	// PerThread[th] lists the rows thread th writes, ascending.
-	PerThread [][]int32
-	// Writes is the total Add-call count (sum of Counts).
-	Writes int64
-}
-
-// CountRowWrites runs the counting pass for the mode-u MTTKRP reading its
-// partial products from CSF level src, under the given partition. The spans
-// mirror the kernel loops exactly: leaf rows come from the per-thread leaf
-// ranges, rows at the source level from the owned ranges, and rows above
-// the source level from the touched ranges (those kernels emit into every
-// touched node of their clamped span, including zero contributions, so
-// single-writer classification must count by touch, not ownership).
-//
-//lint:allow hotpath-alloc plan-time census, runs once per (plan, mode)
-func CountRowWrites(tree *csf.Tree, part *sched.Partition, u, src int) *RowWrites {
+// CountRowWrites runs the write census of the mode-u MTTKRP output read
+// from CSF level src under the given partition: an O(fibers) pass that
+// walks the same partition-clamped spans as the kernel and returns, per
+// output row, its single writing thread, WriterShared or WriterNone. Leaf
+// rows come from the per-thread leaf ranges, rows at the source level from
+// the owned ranges, and rows above the source level from the touched
+// ranges (those kernels emit into every touched node of their clamped
+// span, including zero contributions, so single-writer classification must
+// count by touch, not ownership). The census is exact for u >= src and a
+// per-thread superset for u < src, where the kernel may skip span prefixes
+// with no live ancestor: it errs only toward more sharing, never less.
+func CountRowWrites(tree *csf.Tree, part *sched.Partition, u, src int) []int32 {
+	checkModeSource(tree, u, src)
 	d := tree.Order()
-	if u < 1 || u >= d || src < u || src >= d {
-		panic(fmt.Sprintf("kernels: CountRowWrites(u=%d, src=%d) on an order-%d tree", u, src, d))
-	}
-	rows := tree.Dim(u)
-	rw := &RowWrites{
-		Counts:    make([]int64, rows),
-		Writer:    make([]int32, rows),
-		PerThread: make([][]int32, part.T),
-	}
-	counts := rw.Counts
-	writer := rw.Writer
+	writer := make([]int32, tree.Dim(u))
 	for i := range writer {
-		writer[i] = RemapUntouched
-	}
-	stamp := make([]int32, rows)
-	for i := range stamp {
-		stamp[i] = -1
+		writer[i] = WriterNone
 	}
 	fids := tree.FidLevel(u)
 	for th := 0; th < part.T; th++ {
@@ -80,161 +47,89 @@ func CountRowWrites(tree *csf.Tree, part *sched.Partition, u, src int) *RowWrite
 			hi = minI64(part.Own[th+1][u], int64(len(fids))) //gate:allow bounds per-thread span lookup, T iterations
 		}
 		t32 := int32(th)
-		var journal []int32
 		for c := lo; c < hi; c++ {
-			r := fids[c]                             //gate:allow bounds partition-clamped span over the fiber-id column
-			counts[r]++                              //gate:allow bounds row addressed by stored fiber id, data-dependent
-			if w := writer[r]; w == RemapUntouched { //gate:allow bounds row addressed by stored fiber id, data-dependent
+			r := fids[c]                         //gate:allow bounds partition-clamped span over the fiber-id column
+			if w := writer[r]; w == WriterNone { //gate:allow bounds row addressed by stored fiber id, data-dependent
 				writer[r] = t32
-			} else if w != t32 && w >= 0 {
-				writer[r] = RemapColdCAS
-			}
-			if stamp[r] != t32 { //gate:allow bounds row addressed by stored fiber id, data-dependent
-				stamp[r] = t32
-				journal = append(journal, r)
+			} else if w != t32 {
+				writer[r] = WriterShared
 			}
 		}
-		rw.Writes += hi - lo
-		sort.Slice(journal, func(i, j int) bool { return journal[i] < journal[j] }) //gate:allow escape,bounds plan-time sort of the touched-row journal, once per thread
-		rw.PerThread[th] = journal                                                  //gate:allow bounds per-thread journal slot
 	}
-	return rw
+	return writer
 }
 
-// MultiWriterMass returns the write mass landing on rows the census proved
-// are written by more than one thread — the model's exact MultiMass input
-// for the final layout.
-func (rw *RowWrites) MultiWriterMass() int64 {
-	var mass int64
-	for r, w := range rw.Writer {
-		if w == RemapColdCAS {
-			mass += rw.Counts[r]
-		}
+// checkModeSource panics unless (u, src) names a non-root mode of tree
+// and a source level at or below it.
+func checkModeSource(tree *csf.Tree, u, src int) {
+	if d := tree.Order(); u < 1 || u >= d || src < u || src >= d {
+		panic(fmt.Sprintf("kernels: accumulation census for u=%d, src=%d on an order-%d tree", u, src, d))
 	}
-	return mass
 }
 
 // AccumPlan fixes, for one non-root MTTKRP output, how the scattered row
-// contributions of T threads are combined: the strategy, the row remap, the
-// hot-row set, and the touched-row journals that make Reset and Reduce
-// proportional to the rows actually written. A plan is built once (per
-// core.Plan, per mode) from the write census and is immutable afterwards;
-// every workspace's OutBuf shares it.
+// contributions of T threads are combined. A row the census proves has a
+// single writer is stored directly into the output matrix; each of the M
+// rows two or more threads write gets one slot per thread, and Reduce
+// overwrites those rows with the slots summed in thread order. That is the
+// arithmetic of full privatization, so results are bit-identical at every
+// T and reproducible run to run, in T·M·R floats instead of T·rows·R.
+// A plan is built once (per core.Plan, per mode) and is immutable
+// afterwards; every workspace's OutBuf shares it.
 type AccumPlan struct {
 	Rows, Cols, T int
-	Strategy      AccumStrategy
-	// Remap classifies every output row. Under AccumHybrid a non-negative
-	// entry is the row's hot slot; under AccumPriv it is the row's single
-	// writing thread. Negative entries are the Remap* sentinels.
-	Remap []int32
-	// HotIDs maps hot slot -> row (AccumHybrid).
-	HotIDs []int32
-	// Cold lists the touched non-hot rows, ascending (hybrid Reset).
-	Cold []int32
-	// Touched lists every written row, ascending.
-	Touched []int32
-	// PerThread[th] is thread th's touched-row journal (AccumPriv Reset).
-	PerThread [][]int32
-	// Diagnostics: total Add calls, Add calls landing in the hot set, and
-	// the cold-row split between CAS and single-writer direct stores.
-	Writes     int64
-	HotWrites  int64
-	CASRows    int
-	DirectRows int
+	// Strategy is always AccumPriv, whose arithmetic the plan reproduces;
+	// per-level strategy counters read it.
+	Strategy AccumStrategy
+	// Slot[r] is row r's slot index when two or more threads write it, or
+	// -1. It is nil when no row has two writers, which always holds at
+	// T=1: the kernels then store every row directly, with no lookup.
+	Slot []int32
+	// Shared lists the multi-writer rows ascending: Shared[k] is the row
+	// of slot k.
+	Shared []int32
 }
 
-// HotK returns the number of hot rows (replica rows per thread).
-func (p *AccumPlan) HotK() int { return len(p.HotIDs) }
-
-// String renders the plan for Describe output, e.g.
-// "hybrid(hot=24, direct=16384, cas=3)".
+// String renders the plan for Describe output, e.g. "direct(shared=3)".
 func (p *AccumPlan) String() string {
-	switch p.Strategy {
-	case AccumPriv:
-		return fmt.Sprintf("priv(touched=%d)", len(p.Touched))
-	default:
-		return fmt.Sprintf("hybrid(hot=%d, direct=%d, cas=%d)", len(p.HotIDs), p.DirectRows, p.CASRows)
-	}
+	return fmt.Sprintf("direct(shared=%d)", len(p.Shared))
 }
 
-// PlanAccum resolves the accumulation mechanics for one output from its
-// write census. Under AccumHybrid the hot set is the most-written
-// multi-writer rows — k capped so the T dense replicas (T·k·cols elements)
-// fit hotBudgetElems (<= 0 selects DefaultHotBudgetElems) — and the cold
-// tail is split into single-writer rows (plain stores) and shared rows
-// (CAS). Under AccumPriv the census writers become the reduction remap:
-// single-writer rows copy one replica, shared rows sum all T.
+// PlanAccum builds the accumulation plan of the mode-u MTTKRP output read
+// from source level src under part, with cols output columns. At T=1 every
+// row has one writer and the census is skipped.
+func PlanAccum(tree *csf.Tree, part *sched.Partition, u, src, cols int) *AccumPlan {
+	checkModeSource(tree, u, src)
+	var writer []int32
+	if part.T > 1 {
+		writer = CountRowWrites(tree, part, u, src)
+	}
+	return planFromCensus(tree.Dim(u), writer, cols, part.T)
+}
+
+// planFromCensus assigns one slot to every row the census marks
+// WriterShared, in row order. A nil census has no shared rows.
 //
 //lint:allow hotpath-alloc plan-time construction, runs once per (plan, mode)
-func PlanAccum(rw *RowWrites, cols, t int, strat AccumStrategy, hotBudgetElems int64) *AccumPlan {
+func planFromCensus(rows int, writer []int32, cols, t int) *AccumPlan {
 	if cols <= 0 || t <= 0 {
 		panic(fmt.Sprintf("kernels: PlanAccum(cols=%d, t=%d)", cols, t))
 	}
-	if hotBudgetElems <= 0 {
-		hotBudgetElems = DefaultHotBudgetElems
-	}
-	rows := len(rw.Counts)
-	ap := &AccumPlan{
-		Rows:      rows,
-		Cols:      cols,
-		T:         t,
-		Strategy:  strat,
-		PerThread: rw.PerThread,
-		Writes:    rw.Writes,
-	}
-	for r, w := range rw.Writer {
-		if w != RemapUntouched {
-			ap.Touched = append(ap.Touched, int32(r))
+	ap := &AccumPlan{Rows: rows, Cols: cols, T: t, Strategy: AccumPriv}
+	for r, w := range writer {
+		if w == WriterShared {
+			ap.Shared = append(ap.Shared, int32(r))
 		}
 	}
-	switch strat {
-	case AccumPriv:
-		ap.Remap = rw.Writer
+	if len(ap.Shared) == 0 {
 		return ap
-	case AccumHybrid:
-		// Hot candidates: shared rows written often enough to amortise a
-		// replica, most-written first, capped by the footprint budget.
-		var cand []int32
-		for r, w := range rw.Writer {
-			if w == RemapColdCAS && rw.Counts[r] >= int64(hotWriteFactor*t) {
-				cand = append(cand, int32(r))
-			}
-		}
-		sort.Slice(cand, func(i, j int) bool {
-			ci, cj := rw.Counts[cand[i]], rw.Counts[cand[j]]
-			if ci != cj {
-				return ci > cj
-			}
-			return cand[i] < cand[j]
-		})
-		k := len(cand)
-		if maxK := hotBudgetElems / int64(t*cols); int64(k) > maxK {
-			k = int(maxK)
-		}
-		ap.HotIDs = append([]int32(nil), cand[:k]...)
-		ap.Remap = make([]int32, rows)
-		for r := range ap.Remap {
-			ap.Remap[r] = RemapUntouched
-		}
-		for slot, r := range ap.HotIDs {
-			ap.Remap[r] = int32(slot)
-			ap.HotWrites += rw.Counts[r]
-		}
-		for r, w := range rw.Writer {
-			if w == RemapUntouched || ap.Remap[r] >= 0 {
-				continue
-			}
-			if w >= 0 {
-				ap.Remap[r] = RemapColdDirect
-				ap.DirectRows++
-			} else {
-				ap.Remap[r] = RemapColdCAS
-				ap.CASRows++
-			}
-			ap.Cold = append(ap.Cold, int32(r))
-		}
-		return ap
-	default:
-		panic(fmt.Sprintf("kernels: PlanAccum: unknown strategy %v", strat))
 	}
+	ap.Slot = make([]int32, rows)
+	for r := range ap.Slot {
+		ap.Slot[r] = -1
+	}
+	for k, r := range ap.Shared {
+		ap.Slot[r] = int32(k)
+	}
+	return ap
 }

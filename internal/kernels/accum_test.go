@@ -2,6 +2,7 @@ package kernels
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -12,70 +13,70 @@ import (
 	"stef/internal/tensor"
 )
 
-// censusFor runs the write census for every (mode, source) pair the save
-// vector induces, mirroring core's planner.
-func censusFor(tree *csf.Tree, part *sched.Partition, save []bool, u int) *RowWrites {
-	d := tree.Order()
-	src := d - 1
+// sourceFor returns the level mode u reads from under save, mirroring
+// core's planner.
+func sourceFor(d int, save []bool, u int) int {
 	if u < d-1 {
 		for l := u; l <= d-2; l++ {
 			if save[l] {
-				src = l
-				break
+				return l
 			}
 		}
 	}
-	return CountRowWrites(tree, part, u, src)
+	return d - 1
 }
 
-// TestCountRowWritesInvariants cross-checks the census' three views of the
-// same walk — counts, writer classification, and per-thread journals —
-// against each other on skewed tensors.
+// onesFactors returns level factors filled with 1: with the positive
+// values of tensor.Random every contribution a kernel emits is then
+// positive, so a non-zero replica row proves that thread wrote the row.
+func onesFactors(tree *csf.Tree, rank int) []*tensor.Matrix {
+	lf := make([]*tensor.Matrix, tree.Order())
+	for l := range lf {
+		lf[l] = tensor.NewMatrix(tree.Dim(l), rank)
+		for i := range lf[l].Data {
+			lf[l].Data[i] = 1
+		}
+	}
+	return lf
+}
+
+// TestCountRowWritesInvariants checks the census against the writes the
+// kernel actually makes, observed through a legacy privatized buffer: a
+// row some thread writes must be attributed to that thread or marked
+// shared, a row written by two threads must be marked shared, and a row
+// marked untouched must stay zero everywhere.
 func TestCountRowWritesInvariants(t *testing.T) {
 	tt := tensor.Random([]int{9, 40, 300}, 1200, []float64{2, 1.5, 0}, 71)
 	tree := csf.Build(tt, nil)
+	const rank = 2
+	lf := onesFactors(tree, rank)
 	for _, threads := range []int{1, 2, 4, 7} {
 		part := sched.NewPartition(tree, threads)
 		for _, save := range memoSubsets(3) {
+			partials := NewPartials(tree, rank, save)
+			RootMTTKRP(tree, lf, tensor.NewMatrix(tree.Dim(0), rank), partials, part)
 			for u := 1; u < 3; u++ {
-				rw := censusFor(tree, part, save, u)
-				var sum int64
-				journals := make(map[int32][]int)
-				for th, rows := range rw.PerThread {
-					for i, r := range rows {
-						if i > 0 && rows[i-1] >= r {
-							t.Fatalf("T=%d u=%d: journal %d not strictly ascending at %d", threads, u, th, i)
+				writer := CountRowWrites(tree, part, u, sourceFor(3, save, u))
+				buf := NewOutBuf(tree.Dim(u), rank, threads, 1<<40)
+				buf.Reset(tensor.NewMatrix(tree.Dim(u), rank))
+				ModeMTTKRP(tree, lf, u, partials, buf, part)
+				for r, w := range writer {
+					var wrote []int
+					for th := 0; th < threads; th++ {
+						if buf.priv[th].At(r, 0) != 0 {
+							wrote = append(wrote, th)
 						}
-						journals[r] = append(journals[r], th)
 					}
-				}
-				for r, c := range rw.Counts {
-					sum += c
-					w := rw.Writer[r]
-					ths := journals[int32(r)]
+					ctx := fmt.Sprintf("T=%d save=%v u=%d row %d: census %d, kernel writers %v", threads, save, u, r, w, wrote)
 					switch {
-					case c == 0:
-						if w != RemapUntouched || len(ths) != 0 {
-							t.Fatalf("T=%d u=%d row %d: count 0 but writer %d, journals %v", threads, u, r, w, ths)
-						}
-					case len(ths) == 1:
-						if w != int32(ths[0]) {
-							t.Fatalf("T=%d u=%d row %d: one journal (thread %d) but writer %d", threads, u, r, ths[0], w)
-						}
-					default:
-						if w != RemapColdCAS {
-							t.Fatalf("T=%d u=%d row %d: %d journal threads but writer %d", threads, u, r, len(ths), w)
-						}
-					}
-				}
-				if sum != rw.Writes {
-					t.Fatalf("T=%d u=%d: counts sum %d, Writes %d", threads, u, sum, rw.Writes)
-				}
-				if threads == 1 {
-					for r, w := range rw.Writer {
-						if w != RemapUntouched && w != 0 {
-							t.Fatalf("u=%d row %d: writer %d on a single-thread census", u, r, w)
-						}
+					case w == WriterNone && len(wrote) != 0:
+						t.Fatal(ctx)
+					case len(wrote) > 1 && w != WriterShared:
+						t.Fatal(ctx)
+					case len(wrote) == 1 && w != int32(wrote[0]) && w != WriterShared:
+						t.Fatal(ctx)
+					case threads == 1 && w != WriterNone && w != 0:
+						t.Fatal(ctx)
 					}
 				}
 			}
@@ -84,88 +85,74 @@ func TestCountRowWritesInvariants(t *testing.T) {
 }
 
 // TestCountRowWritesLeafHistogram pins the leaf-mode census at T=1 to the
-// directly computable answer: one write per non-zero, bucketed by leaf fid.
+// directly computable answer: exactly the rows holding a non-zero are
+// written, all by thread 0.
 func TestCountRowWritesLeafHistogram(t *testing.T) {
 	tt := tensor.Random([]int{5, 7, 30}, 200, []float64{0, 0, 2}, 13)
 	tree := csf.Build(tt, nil)
 	part := sched.NewPartition(tree, 1)
-	rw := CountRowWrites(tree, part, 2, 2)
+	writer := CountRowWrites(tree, part, 2, 2)
 	d := tree.Order()
-	want := make([]int64, tree.Dim(d-1))
+	hist := make([]int64, tree.Dim(d-1))
 	for _, f := range tree.FidLevel(d - 1) {
-		want[f]++
+		hist[f]++
 	}
-	for r, c := range rw.Counts {
-		if c != want[r] {
-			t.Fatalf("leaf row %d: census count %d, histogram %d", r, c, want[r])
+	for r, w := range writer {
+		if (hist[r] > 0) != (w == 0) || (hist[r] == 0) != (w == WriterNone) {
+			t.Fatalf("leaf row %d: census writer %d, %d non-zeros", r, w, hist[r])
 		}
 	}
 }
 
-// TestPlanAccumInvariants checks the classification every strategy's plan
-// must satisfy: remap totality, journal/cold/touched consistency, hot-set
-// admission rules and the footprint budget.
+// TestPlanAccumInvariants checks the plan against its census: exactly the
+// shared rows get slots, in ascending row order, every other row has no
+// slot, and a plan without shared rows (always so at T=1) has no slot map.
 func TestPlanAccumInvariants(t *testing.T) {
 	tt := tensor.Random([]int{8, 60, 400}, 2500, []float64{2, 2, 1.5}, 99)
 	tree := csf.Build(tt, nil)
-	const cols, threads = 8, 4
-	part := sched.NewPartition(tree, threads)
-	for u := 1; u < 3; u++ {
-		rw := censusFor(tree, part, []bool{false, false, false}, u)
-		for _, budget := range []int64{1, int64(2 * threads * cols), 1 << 20} {
-			ap := PlanAccum(rw, cols, threads, AccumHybrid, budget)
-			if got := int64(ap.HotK() * threads * cols); got > budget {
-				t.Fatalf("u=%d budget %d: hot footprint %d over budget", u, budget, got)
+	const cols = 8
+	for _, threads := range []int{1, 2, 4} {
+		part := sched.NewPartition(tree, threads)
+		for u := 1; u < 3; u++ {
+			ap := PlanAccum(tree, part, u, 2, cols)
+			if ap.Rows != tree.Dim(u) || ap.Cols != cols || ap.T != threads || ap.Strategy != AccumPriv {
+				t.Fatalf("T=%d u=%d: plan header %+v", threads, u, ap)
 			}
-			if ap.CASRows+ap.DirectRows != len(ap.Cold) {
-				t.Fatalf("u=%d: CAS %d + direct %d != cold %d", u, ap.CASRows, ap.DirectRows, len(ap.Cold))
-			}
-			if len(ap.HotIDs)+len(ap.Cold) != len(ap.Touched) {
-				t.Fatalf("u=%d: hot %d + cold %d != touched %d", u, len(ap.HotIDs), len(ap.Cold), len(ap.Touched))
-			}
-			var hotWrites int64
-			for slot, r := range ap.HotIDs {
-				if ap.Remap[r] != int32(slot) {
-					t.Fatalf("u=%d: hot row %d remaps to %d, want slot %d", u, r, ap.Remap[r], slot)
+			if len(ap.Shared) == 0 {
+				if ap.Slot != nil {
+					t.Fatalf("T=%d u=%d: slot map without shared rows", threads, u)
 				}
-				if rw.Writer[r] != RemapColdCAS {
-					t.Fatalf("u=%d: hot row %d is not multi-writer in the census", u, r)
+				if threads > 1 {
+					t.Fatalf("T=%d u=%d: skewed fixture has no shared rows", threads, u)
 				}
-				if rw.Counts[r] < int64(hotWriteFactor*threads) {
-					t.Fatalf("u=%d: hot row %d has %d writes, below the admission threshold", u, r, rw.Counts[r])
-				}
-				hotWrites += rw.Counts[r]
+				continue
 			}
-			if hotWrites != ap.HotWrites {
-				t.Fatalf("u=%d: HotWrites %d, want %d", u, ap.HotWrites, hotWrites)
-			}
-			for _, r := range ap.Cold {
-				if w := ap.Remap[r]; w != RemapColdDirect && w != RemapColdCAS {
-					t.Fatalf("u=%d: cold row %d remaps to %d", u, r, w)
+			writer := CountRowWrites(tree, part, u, 2)
+			k := 0
+			for r, w := range writer {
+				if w != WriterShared {
+					if ap.Slot[r] != -1 {
+						t.Fatalf("T=%d u=%d: row %d (writer %d) has slot %d", threads, u, r, w, ap.Slot[r])
+					}
+					continue
 				}
-				if (ap.Remap[r] == RemapColdDirect) != (rw.Writer[r] >= 0) {
-					t.Fatalf("u=%d: cold row %d direct/CAS split disagrees with census writer %d", u, r, rw.Writer[r])
+				if k >= len(ap.Shared) || ap.Shared[k] != int32(r) || ap.Slot[r] != int32(k) {
+					t.Fatalf("T=%d u=%d: shared row %d is not slot %d", threads, u, r, k)
 				}
+				k++
 			}
-			for r, w := range ap.Remap {
-				if w == RemapUntouched && rw.Counts[r] != 0 {
-					t.Fatalf("u=%d: row %d marked untouched with %d census writes", u, r, rw.Counts[r])
-				}
-			}
-		}
-		priv := PlanAccum(rw, cols, threads, AccumPriv, 0)
-		for r, w := range priv.Remap {
-			if w != rw.Writer[r] {
-				t.Fatalf("u=%d: priv remap[%d] = %d, census writer %d", u, r, w, rw.Writer[r])
+			if k != len(ap.Shared) {
+				t.Fatalf("T=%d u=%d: %d shared rows, %d slots", threads, u, k, len(ap.Shared))
 			}
 		}
 	}
 }
 
-// runAllModesPlanned mirrors runAllModes but accumulates through planned
-// buffers with the given strategy and hot budget, so every strategy's
-// output is checked against the COO reference.
-func runAllModesPlanned(t *testing.T, tt *tensor.Tensor, tree *csf.Tree, part *sched.Partition, save []bool, rank int, strat AccumStrategy, budget int64, ctx string) {
+// runAllModesPlanned runs every non-root mode through a planned buffer
+// and checks its output against the COO reference and, bit for bit,
+// against a legacy fully privatized buffer, which sums the same per-thread
+// contributions in the same thread order.
+func runAllModesPlanned(t *testing.T, tt *tensor.Tensor, tree *csf.Tree, part *sched.Partition, save []bool, rank int, ctx string) {
 	t.Helper()
 	d := tt.Order()
 	factors := tensor.RandomFactors(tt.Dims, rank, 4242)
@@ -174,30 +161,49 @@ func runAllModesPlanned(t *testing.T, tt *tensor.Tensor, tree *csf.Tree, part *s
 	out0 := tensor.NewMatrix(tree.Dim(0), rank)
 	RootMTTKRP(tree, lf, out0, partials, part)
 	for u := 1; u < d; u++ {
-		rw := censusFor(tree, part, save, u)
-		ap := PlanAccum(rw, rank, part.T, strat, budget)
-		buf := NewOutBufPlanned(ap)
-		buf.Reset()
-		ModeMTTKRP(tree, lf, u, partials, buf, part)
+		buf := NewOutBufPlanned(PlanAccum(tree, part, u, partials.SourceLevel(u), rank))
 		got := tensor.NewMatrix(tree.Dim(u), rank)
+		buf.Reset(got)
+		ModeMTTKRP(tree, lf, u, partials, buf, part)
 		buf.Reduce(got)
 		want := Reference(tt, factors, tree.Perm()[u])
-		relClose(t, got, want, fmt.Sprintf("%s mode(level%d) %v budget=%d", ctx, u, strat, budget))
+		relClose(t, got, want, fmt.Sprintf("%s mode(level%d)", ctx, u))
+
+		priv := NewOutBuf(tree.Dim(u), rank, part.T, 1<<40)
+		privOut := tensor.NewMatrix(tree.Dim(u), rank)
+		priv.Reset(privOut)
+		ModeMTTKRP(tree, lf, u, partials, priv, part)
+		priv.Reduce(privOut)
+		bitIdentical(t, got, privOut, fmt.Sprintf("%s mode(level%d) planned vs privatized", ctx, u))
 
 		// Reset must return the buffer to a reusable state: a second
-		// launch has to reproduce the same output.
-		buf.Reset()
-		ModeMTTKRP(tree, lf, u, partials, buf, part)
+		// launch, into a matrix holding stale values, has to reproduce
+		// the same output.
 		again := tensor.NewMatrix(tree.Dim(u), rank)
+		for i := range again.Data {
+			again.Data[i] = math.NaN()
+		}
+		buf.Reset(again)
+		ModeMTTKRP(tree, lf, u, partials, buf, part)
 		buf.Reduce(again)
-		relClose(t, again, want, fmt.Sprintf("%s mode(level%d) %v relaunch", ctx, u, strat))
+		bitIdentical(t, again, got, fmt.Sprintf("%s mode(level%d) relaunch", ctx, u))
 	}
 }
 
-// TestPlannedStrategiesMatchReference drives every accumulation strategy
-// over skewed tensors and thread counts, with budgets forcing empty,
-// partial and saturated hot sets. Hybrid with a budget of 1 has no hot
-// rows, so every multi-writer row goes through CAS.
+// bitIdentical fails unless got and want hold the same float64 bit
+// patterns.
+func bitIdentical(t *testing.T, got, want *tensor.Matrix, ctx string) {
+	t.Helper()
+	for i := range want.Data {
+		if math.Float64bits(got.Data[i]) != math.Float64bits(want.Data[i]) {
+			t.Fatalf("%s: element %d is %v, want %v bit for bit", ctx, i, got.Data[i], want.Data[i])
+		}
+	}
+}
+
+// TestPlannedStrategiesMatchReference drives planned buffers over skewed
+// tensors at T ∈ {1, 2, 3, 8}: every output matches the COO reference and
+// is bit-identical to full privatization.
 func TestPlannedStrategiesMatchReference(t *testing.T) {
 	cases := []struct {
 		dims []int
@@ -213,23 +219,20 @@ func TestPlannedStrategiesMatchReference(t *testing.T) {
 		tt := tensor.Random(cs.dims, cs.nnz, cs.skew, int64(len(cs.dims))*31)
 		tree := csf.Build(tt, nil)
 		d := len(cs.dims)
-		for _, threads := range []int{1, 2, 5} {
+		for _, threads := range []int{1, 2, 3, 8} {
 			part := sched.NewPartition(tree, threads)
-			save := memoSubsets(d)[1%len(memoSubsets(d))]
-			ctx := fmt.Sprintf("dims=%v T=%d", cs.dims, threads)
-			for _, strat := range []AccumStrategy{AccumPriv, AccumHybrid} {
-				for _, budget := range []int64{1, int64(3 * threads * 4), 1 << 20} {
-					runAllModesPlanned(t, tt, tree, part, save, 4, strat, budget, ctx)
-				}
+			for _, save := range memoSubsets(d) {
+				ctx := fmt.Sprintf("dims=%v T=%d save=%v", cs.dims, threads, save)
+				runAllModesPlanned(t, tt, tree, part, save, 4, ctx)
 			}
 		}
 	}
 }
 
-// TestPlannedQuick property-tests the planned strategies against the
-// privatized reference on random skewed shapes.
+// TestPlannedQuick property-tests planned buffers against the COO
+// reference and full privatization on random skewed shapes.
 func TestPlannedQuick(t *testing.T) {
-	f := func(seed int64, tRaw, sRaw, bRaw uint8) bool {
+	f := func(seed int64, tRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		dims := []int{2 + rng.Intn(8), 2 + rng.Intn(30), 2 + rng.Intn(80)}
 		skew := []float64{0, []float64{0, 1.5, 2.5}[rng.Intn(3)], []float64{0, 2}[rng.Intn(2)]}
@@ -239,133 +242,95 @@ func TestPlannedQuick(t *testing.T) {
 		}
 		tt := tensor.Random(dims, nnz, skew, seed)
 		tree := csf.Build(tt, nil)
-		threads := 1 + int(tRaw)%6
-		part := sched.NewPartition(tree, threads)
-		strat := []AccumStrategy{AccumPriv, AccumHybrid, AccumHybrid}[int(sRaw)%3]
-		budget := []int64{1, 64, 1 << 18}[int(bRaw)%3]
-		if int(sRaw)%3 == 2 {
-			budget = 1 // hybrid with zero hot rows: every multi-writer row CASes
-		}
-
-		rank := 3
-		factors := tensor.RandomFactors(tt.Dims, rank, seed+1)
-		lf := LevelFactors(factors, tree.Perm())
-		save := []bool{false, true, false}
-		partials := NewPartials(tree, rank, save)
-		out0 := tensor.NewMatrix(tree.Dim(0), rank)
-		RootMTTKRP(tree, lf, out0, partials, part)
-		for u := 1; u < 3; u++ {
-			rw := censusFor(tree, part, save, u)
-			buf := NewOutBufPlanned(PlanAccum(rw, rank, threads, strat, budget))
-			buf.Reset()
-			ModeMTTKRP(tree, lf, u, partials, buf, part)
-			got := tensor.NewMatrix(tree.Dim(u), rank)
-			buf.Reduce(got)
-			want := Reference(tt, factors, tree.Perm()[u])
-			if got.MaxAbsDiff(want) > tol*(1+want.NormFrobenius()) {
-				return false
-			}
-		}
-		return true
+		part := sched.NewPartition(tree, 1+int(tRaw)%6)
+		ok := true
+		t.Run("", func(t *testing.T) {
+			runAllModesPlanned(t, tt, tree, part, []bool{false, true, false}, 3, fmt.Sprintf("seed=%d T=%d", seed, part.T))
+			ok = !t.Failed()
+		})
+		return ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// stressCensus hand-builds a census whose plan exercises every write path
-// at once: hot replicas (rows 0..3), cold CAS pairs (4..19), single-writer
-// direct rows (20..19+T) and an untouched tail.
-func stressCensus(threads int) *RowWrites {
+// stressCensus hand-builds a census that exercises every write path at
+// once: rows written by every thread (0..3), two-writer rows (4..19),
+// single-writer rows (20..19+T) and an untouched tail. It returns the
+// census and the rows each thread writes.
+func stressCensus(threads int) ([]int32, [][]int32) {
 	const rows = 48
-	rw := &RowWrites{
-		Counts:    make([]int64, rows),
-		Writer:    make([]int32, rows),
-		PerThread: make([][]int32, threads),
+	writer := make([]int32, rows)
+	for r := range writer {
+		writer[r] = WriterNone
 	}
-	for r := range rw.Writer {
-		rw.Writer[r] = RemapUntouched
-	}
-	touch := func(r, th int, c int64) {
-		rw.Counts[r] += c
-		rw.Writes += c
-		switch w := rw.Writer[r]; {
-		case w == RemapUntouched:
-			rw.Writer[r] = int32(th)
+	perThread := make([][]int32, threads)
+	touch := func(r, th int) {
+		switch w := writer[r]; {
+		case w == WriterNone:
+			writer[r] = int32(th)
 		case w != int32(th):
-			rw.Writer[r] = RemapColdCAS
+			writer[r] = WriterShared
 		}
-		rw.PerThread[th] = append(rw.PerThread[th], int32(r))
+		perThread[th] = append(perThread[th], int32(r))
 	}
-	for r := 0; r < 4; r++ { // hot: every thread, far above the 2T threshold
+	for r := 0; r < 4; r++ {
 		for th := 0; th < threads; th++ {
-			touch(r, th, int64(4*hotWriteFactor*threads))
+			touch(r, th)
 		}
 	}
-	for r := 4; r < 20; r++ { // cold CAS: two writers, below the threshold
-		touch(r, r%threads, 1)
-		touch(r, (r+1)%threads, 1)
+	for r := 4; r < 20; r++ {
+		touch(r, r%threads)
+		touch(r, (r+1)%threads)
 	}
-	for r := 20; r < 20+threads; r++ { // direct: one writer each
-		touch(r, r-20, 2)
+	for r := 20; r < 20+threads; r++ {
+		touch(r, r-20)
 	}
-	return rw
+	return writer, perThread
 }
 
-// TestOutBufPlannedStress hammers every accumulation path from T real
-// goroutines across repeated Reset/launch/Reduce cycles and checks the
+// TestOutBufPlannedStress hammers the slot and direct-store paths from T
+// real goroutines across repeated Reset/launch/Reduce cycles and checks the
 // reduced values exactly. Run with -race this doubles as the data-race
-// proof for atomicAddFloat, the hot slabs and the direct stores. The
-// budget-1 hybrid plan has no hot rows, so every multi-writer row takes
-// the CAS path.
+// proof for the direct stores into the shared output.
 func TestOutBufPlannedStress(t *testing.T) {
 	const threads, cols, iters, launches = 8, 8, 25, 12
-	rw := stressCensus(threads)
+	writer, perThread := stressCensus(threads)
+	ap := planFromCensus(len(writer), writer, cols, threads)
+	if len(ap.Shared) != 20 {
+		t.Fatalf("stress fixture: %d shared rows, want 20", len(ap.Shared))
+	}
 	src := make([]float64, cols)
 	for i := range src {
 		src[i] = float64(i + 1)
 	}
-	for _, cfg := range []struct {
-		strat  AccumStrategy
-		budget int64
-		hotK   int
-	}{
-		{AccumPriv, int64(4 * threads * cols), 0},
-		{AccumHybrid, int64(4 * threads * cols), 4},
-		{AccumHybrid, 1, 0},
-	} {
-		strat := cfg.strat
-		ap := PlanAccum(rw, cols, threads, strat, cfg.budget)
-		if ap.HotK() != cfg.hotK {
-			t.Fatalf("stress fixture %v budget %d: hot set %d, want %d", strat, cfg.budget, ap.HotK(), cfg.hotK)
-		}
-		buf := NewOutBufPlanned(ap)
-		out := tensor.NewMatrix(48, cols)
-		for launch := 0; launch < launches; launch++ {
-			buf.Reset()
-			par.Do(threads, func(th int) {
-				o := buf.Thread(th)
-				for it := 0; it < iters; it++ {
-					for _, r := range rw.PerThread[th] {
-						o.AddScaled(int(r), 1, src)
+	buf := NewOutBufPlanned(ap)
+	out := tensor.NewMatrix(len(writer), cols)
+	for launch := 0; launch < launches; launch++ {
+		buf.Reset(out)
+		par.Do(threads, func(th int) {
+			o := buf.Thread(th)
+			for it := 0; it < iters; it++ {
+				for _, r := range perThread[th] {
+					o.AddScaled(int(r), 1, src)
+				}
+			}
+		})
+		buf.Reduce(out)
+		for r := range writer {
+			writers := 0
+			for th := 0; th < threads; th++ {
+				for _, jr := range perThread[th] {
+					if int(jr) == r {
+						writers++
 					}
 				}
-			})
-			buf.Reduce(out)
-			for r := 0; r < 48; r++ {
-				writers := 0
-				for th := 0; th < threads; th++ {
-					for _, jr := range rw.PerThread[th] {
-						if int(jr) == r {
-							writers++
-						}
-					}
-				}
-				want := float64(writers * iters)
-				for c := 0; c < cols; c++ {
-					if got := out.At(r, c); got != want*src[c] {
-						t.Fatalf("%v launch %d row %d col %d: got %g, want %g", strat, launch, r, c, got, want*src[c])
-					}
+			}
+			want := float64(writers * iters)
+			for c := 0; c < cols; c++ {
+				if got := out.At(r, c); got != want*src[c] {
+					t.Fatalf("launch %d row %d col %d: got %g, want %g", launch, r, c, got, want*src[c])
 				}
 			}
 		}

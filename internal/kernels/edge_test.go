@@ -67,9 +67,9 @@ func TestDegenerateTensors(t *testing.T) {
 				}
 				for u := 1; u < d; u++ {
 					buf := NewOutBuf(tree.Dim(u), rank, threads, 0)
-					buf.Reset()
-					ModeMTTKRP(tree, lf, u, partials, buf, part)
 					got := tensor.NewMatrix(tree.Dim(u), rank)
+					buf.Reset(got)
+					ModeMTTKRP(tree, lf, u, partials, buf, part)
 					buf.Reduce(got)
 					want := Reference(tt, factors, tree.Perm()[u])
 					if diff := got.MaxAbsDiff(want); diff > 1e-9*(1+want.NormFrobenius()) {

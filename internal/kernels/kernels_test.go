@@ -66,9 +66,9 @@ func runAllModes(t *testing.T, tt *tensor.Tensor, tree *csf.Tree, part *sched.Pa
 
 	for u := 1; u < d; u++ {
 		buf := NewOutBuf(tree.Dim(u), rank, part.T, 0)
-		buf.Reset()
-		ModeMTTKRP(tree, lf, u, partials, buf, part)
 		got := tensor.NewMatrix(tree.Dim(u), rank)
+		buf.Reset(got)
+		ModeMTTKRP(tree, lf, u, partials, buf, part)
 		buf.Reduce(got)
 		want := Reference(tt, factors, tree.Perm()[u])
 		relClose(t, got, want, fmt.Sprintf("%s mode(level%d) src=%d", ctx, u, partials.SourceLevel(u)))
@@ -154,18 +154,18 @@ func TestOutBufAtomicMatchesPrivatized(t *testing.T) {
 
 	for u := 1; u < 3; u++ {
 		priv := NewOutBuf(tree.Dim(u), 4, part.T, 1<<40) // force privatized
-		priv.Reset()
-		ModeMTTKRP(tree, lf, u, partials, priv, part)
 		gotPriv := tensor.NewMatrix(tree.Dim(u), 4)
+		priv.Reset(gotPriv)
+		ModeMTTKRP(tree, lf, u, partials, priv, part)
 		priv.Reduce(gotPriv)
 		if !priv.Privatized() {
 			t.Fatalf("expected privatized buffer")
 		}
 
 		atom := NewOutBuf(tree.Dim(u), 4, part.T, 1) // force atomic
-		atom.Reset()
-		ModeMTTKRP(tree, lf, u, partials, atom, part)
 		gotAtom := tensor.NewMatrix(tree.Dim(u), 4)
+		atom.Reset(gotAtom)
+		ModeMTTKRP(tree, lf, u, partials, atom, part)
 		atom.Reduce(gotAtom)
 		if atom.Privatized() {
 			t.Fatalf("expected atomic buffer")
@@ -182,7 +182,7 @@ func TestOutBufResetReuse(t *testing.T) {
 	if out.At(1, 0) != 2 {
 		t.Fatalf("AddScaled lost: %v", out.Data)
 	}
-	b.Reset()
+	b.Reset(out)
 	b.Reduce(out)
 	for _, v := range out.Data {
 		if v != 0 {
@@ -253,9 +253,9 @@ func TestMTTKRPQuick(t *testing.T) {
 		}
 		for u := 1; u < d; u++ {
 			buf := NewOutBuf(tree.Dim(u), rank, threads, 0)
-			buf.Reset()
-			ModeMTTKRP(tree, lf, u, partials, buf, part)
 			got := tensor.NewMatrix(tree.Dim(u), rank)
+			buf.Reset(got)
+			ModeMTTKRP(tree, lf, u, partials, buf, part)
 			buf.Reduce(got)
 			want := Reference(tt, factors, tree.Perm()[u])
 			if got.MaxAbsDiff(want) > tol*(1+want.NormFrobenius()) {

@@ -37,10 +37,11 @@ func (s *Scratch) LifeSetPoisoned(p bool) {
 	}
 }
 
-// LifeFill overwrites every accumulation cell of the buffer with v. The
+// LifeFill overwrites every accumulation cell the buffer owns with v. The
 // cpd lifetrace registry poisons released workspaces with NaN and restores
-// zero (the freshly-constructed state the Reset journals assume) when a
-// workspace is re-acquired from the pool.
+// zero (the freshly-constructed state) when a workspace is re-acquired from
+// the pool. A planned buffer's direct stores land in the caller's output,
+// which the buffer does not own.
 func (b *OutBuf) LifeFill(v float64) {
 	for _, m := range b.priv {
 		lifeFillMatrix(m, v)
@@ -49,8 +50,8 @@ func (b *OutBuf) LifeFill(v float64) {
 	for i := range b.shared {
 		b.shared[i] = bits
 	}
-	for i := range b.hot {
-		b.hot[i] = v
+	for i := range b.slots {
+		b.slots[i] = v
 	}
 }
 

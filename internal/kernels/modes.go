@@ -31,9 +31,10 @@ func ModeMTTKRP(tree *csf.Tree, factors []*tensor.Matrix, u int, partials *Parti
 // level u, partial results t_l are accumulated upward from the source
 // level. Work is partitioned by the tree's source-level fibers: each
 // thread processes exactly the source fibers it owns, so no contribution
-// is duplicated; scattered output rows are combined through buf (private
-// copies or atomic adds). The caller must Reset buf beforehand and Reduce
-// it afterwards.
+// is duplicated; scattered output rows are combined through buf (direct
+// stores and per-thread slots for a planned buffer, private copies or
+// atomic adds for a legacy one). The caller must Reset buf beforehand and
+// Reduce it afterwards.
 func ModeMTTKRPWith(tree *csf.Tree, factors []*tensor.Matrix, u int, partials *Partials, buf *OutBuf, part *sched.Partition, sc *Scratch) {
 	lifeEnter(tree, sc)
 	d := tree.Order()

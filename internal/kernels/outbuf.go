@@ -14,26 +14,27 @@ import (
 // thread. Above the bound, threads scatter with lock-free compare-and-swap
 // adds instead — the paper's "either atomic updates are needed, or each
 // thread needs to hold its own copy" (Section III-B). Planned buffers
-// (NewOutBufPlanned) replace this blunt binary with the sparsity-aware
-// hybrid strategy chosen by the data-movement model.
+// (NewOutBufPlanned) need neither: the write census sends single-writer
+// rows straight to the output and gives only the shared rows per-thread
+// slots.
 const DefaultPrivatizeMaxElems = 1 << 24
 
-// AccumStrategy selects how an OutBuf combines the scattered row
+// AccumStrategy names how an OutBuf combines the scattered row
 // contributions of T threads.
 type AccumStrategy uint8
 
 const (
-	// AccumPriv gives every thread a full private copy of the output,
-	// reduced at the end (the paper's privatization extreme).
+	// AccumPriv sums per-thread contributions in thread order: full
+	// private copies for legacy buffers, direct stores plus per-thread
+	// slots for planned ones (every planned buffer reports it).
 	AccumPriv AccumStrategy = iota
-	// AccumHybrid privatizes only the hot rows (dense per-thread replicas
-	// indexed through a compact remap); the cold tail goes straight to the
-	// shared buffer — plain stores where the partition proves a single
-	// writer, CAS adds otherwise.
+	// AccumHybrid is no longer built; the name is kept only so the
+	// benchmark's per-level strategy counter (perfbench/bench.go) keeps
+	// compiling.
 	AccumHybrid
 	// AccumAtomic scatters every row into one shared buffer with CAS adds
 	// (the paper's atomic extreme). Only legacy footprint-rule buffers use
-	// it; the planner chooses between AccumPriv and AccumHybrid.
+	// it.
 	AccumAtomic
 )
 
@@ -49,37 +50,20 @@ func (s AccumStrategy) String() string {
 	return fmt.Sprintf("accum(%d)", uint8(s))
 }
 
-// Remap sentinels. Non-negative entries are strategy-specific indices: the
-// hot-row slot under AccumHybrid, the single writing thread under
-// AccumPriv.
-const (
-	// RemapColdDirect marks a touched row with exactly one writing thread:
-	// plain (non-atomic) stores into the shared buffer are safe.
-	RemapColdDirect int32 = -1
-	// RemapColdCAS marks a touched row with two or more writing threads
-	// outside the hot set: adds must go through the CAS loop. Under
-	// AccumPriv the same value marks a multi-writer row whose reduction
-	// must sum every replica.
-	RemapColdCAS int32 = -2
-	// RemapUntouched marks a row no thread ever writes.
-	RemapUntouched int32 = -3
-)
-
 // OutBuf accumulates a scattered MTTKRP output matrix from T threads. A
-// buffer is either *planned* — built from an AccumPlan whose counting pass
-// fixed the per-row mechanics (hot replicas, direct stores, CAS) and whose
-// touched-row journals make Reset and Reduce proportional to the rows
-// actually written — or *legacy*, using the binary footprint rule
-// (full privatization below DefaultPrivatizeMaxElems, CAS above), which the
-// baseline engines keep.
+// buffer is either *planned* — built from an AccumPlan, it stores
+// single-writer rows straight into the output matrix bound by Reset and
+// sums the shared rows' per-thread slots into it in Reduce — or *legacy*,
+// using the binary footprint rule (full privatization below
+// DefaultPrivatizeMaxElems, CAS above), which the baseline engines keep.
 type OutBuf struct {
 	rows, cols int
 	t          int
 	plan       *AccumPlan       // nil for legacy footprint-rule buffers
-	priv       []*tensor.Matrix // AccumPriv / legacy privatized
-	shared     []uint64         // float64 bit patterns: legacy CAS + hybrid cold rows
-	hot        []float64        // AccumHybrid: T contiguous k×cols replicas
-	hotK       int              // hot rows per replica
+	out        *tensor.Matrix   // planned: the output bound by Reset
+	slots      []float64        // planned: T contiguous M×cols slabs, M = len(plan.Shared)
+	priv       []*tensor.Matrix // legacy privatized
+	shared     []uint64         // legacy CAS: float64 bit patterns
 	ops        vecOps           // rank-vector primitives, R-specialized when cols matches
 	shadow     outbufShadow     // write-ownership oracle (-tags shadowtrace)
 }
@@ -104,62 +88,28 @@ func NewOutBuf(rows, cols, t int, maxPrivElems int64) *OutBuf {
 		}
 		return b
 	}
-	b.shared = makeShared(rows, cols)
+	if int64(int(elems)) != elems {
+		panic(fmt.Sprintf("kernels: output buffer %dx%d overflows the address space", rows, cols))
+	}
+	b.shared = make([]uint64, int(elems))
 	return b
 }
 
 // NewOutBufPlanned returns an accumulation buffer executing the given plan.
-// The plan is shared, read-only; the buffer holds the mutable slabs, so one
-// plan serves any number of concurrent workspaces.
+// The plan is shared, read-only; the buffer holds only the T·M·cols slot
+// slabs, so one plan serves any number of concurrent workspaces.
 func NewOutBufPlanned(ap *AccumPlan) *OutBuf {
-	b := &OutBuf{rows: ap.Rows, cols: ap.Cols, t: ap.T, plan: ap, ops: opsFor(ap.Cols)}
-	switch ap.Strategy {
-	case AccumPriv:
-		b.priv = make([]*tensor.Matrix, ap.T)
-		for th := range b.priv {
-			b.priv[th] = tensor.NewMatrix(ap.Rows, ap.Cols)
-		}
-	case AccumHybrid:
-		b.shared = makeShared(ap.Rows, ap.Cols)
-		b.hotK = ap.HotK()
-		b.hot = make([]float64, ap.T*b.hotK*ap.Cols)
-	default:
-		panic(fmt.Sprintf("kernels: NewOutBufPlanned: unknown strategy %v", ap.Strategy))
+	return &OutBuf{
+		rows: ap.Rows, cols: ap.Cols, t: ap.T, plan: ap, ops: opsFor(ap.Cols),
+		slots: make([]float64, ap.T*len(ap.Shared)*ap.Cols),
 	}
-	return b
 }
-
-// makeShared allocates the shared bit-pattern buffer, checking the int64
-// footprint before converting to a length.
-func makeShared(rows, cols int) []uint64 {
-	elems := int64(rows) * int64(cols)
-	if int64(int(elems)) != elems || elems < 0 {
-		panic(fmt.Sprintf("kernels: output buffer %dx%d overflows the address space", rows, cols))
-	}
-	return make([]uint64, int(elems))
-}
-
-// Plan returns the accumulation plan the buffer executes (nil for legacy
-// footprint-rule buffers).
-func (b *OutBuf) Plan() *AccumPlan { return b.plan }
 
 // Privatized reports whether the buffer holds full per-thread copies.
 func (b *OutBuf) Privatized() bool { return b.priv != nil }
 
-// Strategy returns the buffer's accumulation strategy. Legacy buffers
-// report the binary choice they were built with.
-func (b *OutBuf) Strategy() AccumStrategy {
-	if b.plan != nil {
-		return b.plan.Strategy
-	}
-	if b.priv != nil {
-		return AccumPriv
-	}
-	return AccumAtomic
-}
-
 // OutBufThread is thread th's write handle on an OutBuf: the per-thread
-// indirection (private replica base, hot slab, remap) is resolved once at
+// indirection (store target, slot slab, slot map) is resolved once at
 // kernel-launch time so the per-nonzero AddScaled/AddHadamard calls stay
 // branch-light. The handle is a small value; kernels hoist it out of their
 // fiber loops.
@@ -168,50 +118,42 @@ type OutBufThread struct {
 	th     int
 	cols   int
 	ops    vecOps    // R-specialized primitives, resolved at construction
-	priv   []float64 // private replica backing (AccumPriv / legacy)
-	hot    []float64 // thread's hot-row slab (AccumHybrid; may be empty)
-	remap  []int32   // row classification (AccumHybrid only)
-	shared []uint64
+	rows   []float64 // plain-store target: the bound output (planned) or the private replica (legacy)
+	slot   []int32   // planned: row -> slot, -1 for single-writer rows; nil without shared rows
+	slab   []float64 // planned: the thread's M×cols slot slab
+	shared []uint64  // legacy CAS target
 }
 
 // Thread returns the write handle for thread th.
 func (b *OutBuf) Thread(th int) OutBufThread {
 	o := OutBufThread{b: b, th: th, cols: b.cols, ops: b.ops, shared: b.shared}
-	if b.priv != nil {
-		o.priv = b.priv[th].Data
-		return o
-	}
-	if b.plan != nil && b.plan.Strategy == AccumHybrid {
-		o.remap = b.plan.Remap
-		if b.hotK > 0 {
-			n := b.hotK * b.cols
-			o.hot = b.hot[th*n : (th+1)*n]
-		}
+	switch {
+	case b.plan != nil:
+		o.rows = b.out.Data
+		o.slot = b.plan.Slot
+		n := len(b.plan.Shared) * b.cols
+		o.slab = b.slots[th*n : (th+1)*n]
+	case b.priv != nil:
+		o.rows = b.priv[th].Data
 	}
 	return o
 }
 
 // AddScaled accumulates s*src into row `row`.
 func (o *OutBufThread) AddScaled(row int, s float64, src []float64) {
-	if o.priv != nil {
-		base := row * o.cols
-		o.ops.addScaled(o.priv[base:base+o.cols], s, src) //gate:allow bounds row index is a stored fiber id, data-dependent
-		return
+	if o.slot != nil {
+		if k := o.slot[row]; k >= 0 { //gate:allow bounds row index is a stored fiber id, data-dependent
+			o.b.shadowSlot(o.th, row, k)
+			base := int(k) * o.cols
+			o.ops.addScaled(o.slab[base:base+o.cols], s, src) //gate:allow bounds slot from the plan, bounded by its shared-row count
+			return
+		}
 	}
-	if o.remap != nil {
-		slot := o.remap[row] //gate:allow bounds row index is a stored fiber id, data-dependent
-		if slot >= 0 {
-			o.b.shadowHot(o.th, row, slot)
-			base := int(slot) * o.cols
-			o.ops.addScaled(o.hot[base:base+o.cols], s, src) //gate:allow bounds hot slot from the remap, bounded by the plan's hot count
-			return
-		}
-		if slot == RemapColdDirect {
-			o.b.shadowDirect(o.th, row)
-			base := row * o.cols
-			directAddScaled(o.shared[base:base+o.cols], s, src) //gate:allow bounds row index is a stored fiber id, data-dependent
-			return
-		}
+	if o.rows != nil {
+		o.b.shadowDirect(o.th, row)
+		base := row * o.cols
+		o.ops.addScaled(o.rows[base:base+o.cols], s, src) //gate:allow bounds row index is a stored fiber id, data-dependent
+		return
 	}
 	base := row * o.cols
 	atomicAddScaled(o.shared[base:base+o.cols], s, src) //gate:allow bounds row index is a stored fiber id, data-dependent
@@ -219,25 +161,19 @@ func (o *OutBufThread) AddScaled(row int, s float64, src []float64) {
 
 // AddHadamard accumulates a ⊙ bv into row `row`.
 func (o *OutBufThread) AddHadamard(row int, a, bv []float64) {
-	if o.priv != nil {
-		base := row * o.cols
-		o.ops.hadamardAccum(o.priv[base:base+o.cols], a, bv) //gate:allow bounds row index is a stored fiber id, data-dependent
-		return
+	if o.slot != nil {
+		if k := o.slot[row]; k >= 0 { //gate:allow bounds row index is a stored fiber id, data-dependent
+			o.b.shadowSlot(o.th, row, k)
+			base := int(k) * o.cols
+			o.ops.hadamardAccum(o.slab[base:base+o.cols], a, bv) //gate:allow bounds slot from the plan, bounded by its shared-row count
+			return
+		}
 	}
-	if o.remap != nil {
-		slot := o.remap[row] //gate:allow bounds row index is a stored fiber id, data-dependent
-		if slot >= 0 {
-			o.b.shadowHot(o.th, row, slot)
-			base := int(slot) * o.cols
-			o.ops.hadamardAccum(o.hot[base:base+o.cols], a, bv) //gate:allow bounds hot slot from the remap, bounded by the plan's hot count
-			return
-		}
-		if slot == RemapColdDirect {
-			o.b.shadowDirect(o.th, row)
-			base := row * o.cols
-			directAddHadamard(o.shared[base:base+o.cols], a, bv) //gate:allow bounds row index is a stored fiber id, data-dependent
-			return
-		}
+	if o.rows != nil {
+		o.b.shadowDirect(o.th, row)
+		base := row * o.cols
+		o.ops.hadamardAccum(o.rows[base:base+o.cols], a, bv) //gate:allow bounds row index is a stored fiber id, data-dependent
+		return
 	}
 	base := row * o.cols
 	atomicAddHadamard(o.shared[base:base+o.cols], a, bv) //gate:allow bounds row index is a stored fiber id, data-dependent
@@ -257,36 +193,35 @@ func (b *OutBuf) AddScaled(th, row int, s float64, src []float64) {
 	o.AddScaled(row, s, src)
 }
 
-// Reset zeroes the buffer for reuse. Planned buffers clear only the rows
-// their journals say were written — per-thread journals for private
-// replicas, the cold touched list for the hybrid's shared region — instead
-// of the full rows×cols×T footprint; the work runs on T threads.
-func (b *OutBuf) Reset() {
+// Reset readies the buffer for one kernel launch whose result Reduce will
+// write into out. A planned buffer binds out as the target of its direct
+// stores and zeroes it together with the slot slabs, on T threads; a
+// legacy buffer zeroes its own state in full.
+func (b *OutBuf) Reset(out *tensor.Matrix) {
+	b.checkOut(out)
 	b.shadowReset()
 	if b.plan == nil {
 		b.resetLegacy()
 		return
 	}
-	switch b.plan.Strategy {
-	case AccumPriv:
-		if b.t == 1 {
-			b.resetPriv(0)
-			return
-		}
-		par.Do(b.t, func(th int) { b.resetPriv(th) })
-	case AccumHybrid:
-		if b.t == 1 {
-			clear(b.hot)
-			b.resetCold(0, len(b.plan.Cold))
-			return
-		}
-		par.Do(b.t, func(th int) {
-			n := b.hotK * b.cols
-			clear(b.hot[th*n : (th+1)*n])
-			lo := th * len(b.plan.Cold) / b.t
-			hi := (th + 1) * len(b.plan.Cold) / b.t
-			b.resetCold(lo, hi)
-		})
+	b.out = out
+	if b.t == 1 {
+		clear(out.Data)
+		clear(b.slots)
+		return
+	}
+	par.Do(b.t, func(th int) {
+		n := len(out.Data)
+		clear(out.Data[th*n/b.t : (th+1)*n/b.t])
+		m := len(b.slots) / b.t
+		clear(b.slots[th*m : (th+1)*m])
+	})
+}
+
+// checkOut panics unless out has the buffer's shape.
+func (b *OutBuf) checkOut(out *tensor.Matrix) {
+	if out.Rows != b.rows || out.Cols != b.cols {
+		panic(fmt.Sprintf("kernels: OutBuf output %dx%d, want %dx%d", out.Rows, out.Cols, b.rows, b.cols))
 	}
 }
 
@@ -303,116 +238,37 @@ func (b *OutBuf) resetLegacy() {
 	clear(b.shared)
 }
 
-// resetPriv clears thread th's replica along its touched-row journal.
-func (b *OutBuf) resetPriv(th int) {
-	data := b.priv[th].Data
-	for _, r := range b.plan.PerThread[th] {
-		base := int(r) * b.cols
-		clear(data[base : base+b.cols]) //gate:allow bounds journal rows are data-dependent
-	}
-}
-
-// resetCold clears the journalled cold rows Cold[lo:hi] of the shared
-// region.
-func (b *OutBuf) resetCold(lo, hi int) {
-	for _, r := range b.plan.Cold[lo:hi] {
-		base := int(r) * b.cols
-		clear(b.shared[base : base+b.cols]) //gate:allow bounds journal rows are data-dependent
-	}
-}
-
-// Reduce sums the per-thread state into out, overwriting it, on T threads.
-// Planned buffers read only the rows the plan proves touched: single-writer
-// rows copy exactly one replica, hot rows are folded with a parallel tree
-// combine, cold rows stream out of the shared region, untouched rows are
-// zeroed. Call Reduce once per kernel launch — the hot-slab tree combine
-// folds replicas in place.
+// Reduce completes the launch into out, overwriting it, on T threads. A
+// planned buffer's out must be the matrix Reset bound: its single-writer
+// rows already hold their sums, and each shared row is overwritten with
+// slot 0 + slot 1 + … in thread order — the order full privatization sums
+// replicas in, so the result does not depend on thread timing.
 func (b *OutBuf) Reduce(out *tensor.Matrix) {
-	if out.Rows != b.rows || out.Cols != b.cols {
-		panic(fmt.Sprintf("kernels: Reduce into %dx%d, want %dx%d", out.Rows, out.Cols, b.rows, b.cols))
-	}
+	b.checkOut(out)
 	if b.plan == nil {
 		b.reduceLegacy(out)
 		return
 	}
-	switch b.plan.Strategy {
-	case AccumPriv:
-		if b.t == 1 {
-			b.reducePrivRows(out, 0, b.rows)
-			return
-		}
-		par.Blocks(b.rows, b.t, func(_, lo, hi int) { b.reducePrivRows(out, lo, hi) })
-	case AccumHybrid:
-		b.combineHot()
-		if b.t == 1 {
-			b.reduceHybridRows(out, 0, b.rows)
-			return
-		}
-		par.Blocks(b.rows, b.t, func(_, lo, hi int) { b.reduceHybridRows(out, lo, hi) })
+	if out != b.out {
+		panic("kernels: Reduce into a matrix other than the one Reset bound")
 	}
-}
-
-// combineHot folds the T hot-row replicas into replica 0 with a parallel
-// tree combine: log2(T) rounds of pairwise slab adds, each round's pairs
-// running under par.Do.
-func (b *OutBuf) combineHot() {
-	n := b.hotK * b.cols
-	if n == 0 || b.t == 1 {
+	if len(b.plan.Shared) == 0 {
 		return
 	}
-	for stride := 1; stride < b.t; stride <<= 1 {
-		pairs := 0
-		for i := 0; i+stride < b.t; i += 2 * stride {
-			pairs++
-		}
-		step := 2 * stride
-		src := stride
-		par.Do(pairs, func(p int) { //gate:allow escape log2(T) pairwise-combine launches per solve
-			i := p * step
-			addScaled(b.hot[i*n:i*n+n], 1, b.hot[(i+src)*n:(i+src)*n+n]) //gate:allow bounds slab offsets bounded by the replica count
-		})
-	}
+	par.Blocks(len(b.plan.Shared), b.t, func(_, lo, hi int) { b.reduceSlots(lo, hi) })
 }
 
-// reducePrivRows reduces private replicas into out rows [lo, hi): untouched
-// rows are zeroed, single-writer rows copy that writer's replica row, and
-// multi-writer rows sum every replica.
-func (b *OutBuf) reducePrivRows(out *tensor.Matrix, lo, hi int) {
-	remap := b.plan.Remap
-	for i, w := range remap[lo:hi] { //gate:allow bounds row block bounds from par.Blocks
-		r := lo + i
-		dst := out.Row(r) //gate:allow bounds row index within the par.Blocks block
-		switch {
-		case w == RemapUntouched:
-			clear(dst)
-		case w >= 0:
-			copy(dst, b.priv[w].Row(r)) //gate:allow bounds writer thread id from the census, bounded by T
-		default:
-			copy(dst, b.priv[0].Row(r)) //gate:allow bounds replica row addressed within the block
-			for th := 1; th < b.t; th++ {
-				b.ops.addScaled(dst, 1, b.priv[th].Row(r)) //gate:allow bounds replica index bounded by the thread loop
-			}
-		}
-	}
-}
-
-// reduceHybridRows reduces the hybrid state into out rows [lo, hi): hot
-// rows read the (already tree-combined) replica 0 slab, cold rows stream
-// out of the shared bit buffer, untouched rows are zeroed.
-func (b *OutBuf) reduceHybridRows(out *tensor.Matrix, lo, hi int) {
-	remap := b.plan.Remap
-	for i, slot := range remap[lo:hi] { //gate:allow bounds row block bounds from par.Blocks
-		r := lo + i
-		dst := out.Row(r) //gate:allow bounds row index within the par.Blocks block
-		switch {
-		case slot >= 0:
-			base := int(slot) * b.cols
-			copy(dst, b.hot[base:base+b.cols]) //gate:allow bounds hot slot from the remap, bounded by the plan's hot count
-		case slot == RemapUntouched:
-			clear(dst)
-		default:
-			base := r * b.cols
-			bitsToFloats(dst, b.shared[base:base+b.cols]) //gate:allow bounds row base bounded by the remap length
+// reduceSlots overwrites the output rows of slots [lo, hi) with the sum of
+// every thread's slot, in thread order.
+func (b *OutBuf) reduceSlots(lo, hi int) {
+	n := len(b.plan.Shared) * b.cols
+	for i, r := range b.plan.Shared[lo:hi] { //gate:allow bounds slot block bounds from par.Blocks
+		dst := b.out.Row(int(r)) //gate:allow bounds shared row from the plan
+		base := (lo + i) * b.cols
+		copy(dst, b.slots[base:base+b.cols]) //gate:allow bounds slot offset bounded by the shared-row count
+		for th := 1; th < b.t; th++ {
+			at := th*n + base
+			b.ops.addScaled(dst, 1, b.slots[at:at+b.cols]) //gate:allow bounds slab offset bounded by the thread count
 		}
 	}
 }
@@ -453,26 +309,6 @@ func bitsToFloats(dst []float64, src []uint64) {
 	d, v := dst[:n:n], src[:n:n]
 	for i := range d {
 		d[i] = math.Float64frombits(v[i])
-	}
-}
-
-// directAddScaled computes dst += s*src on float64 bit patterns with plain
-// stores; safe only on rows the plan proves single-writer.
-func directAddScaled(dst []uint64, s float64, src []float64) {
-	n := min(len(dst), len(src))
-	d, v := dst[:n:n], src[:n:n]
-	for i := range d {
-		d[i] = math.Float64bits(math.Float64frombits(d[i]) + s*v[i])
-	}
-}
-
-// directAddHadamard computes dst += a ⊙ bv on float64 bit patterns with
-// plain stores; safe only on rows the plan proves single-writer.
-func directAddHadamard(dst []uint64, a, bv []float64) {
-	n := min(len(dst), len(a), len(bv))
-	d, x, y := dst[:n:n], a[:n:n], bv[:n:n]
-	for i := range d {
-		d[i] = math.Float64bits(math.Float64frombits(d[i]) + x[i]*y[i])
 	}
 }
 

@@ -19,10 +19,10 @@ func (*shadowState) boundary(th, l int, id int64) {}
 
 // outbufShadow is the disabled form of the accumulation-plan oracle: in
 // normal builds the OutBuf hooks below inline to nothing. With
-// -tags shadowtrace the recording implementation checks every hot-replica
-// and cold-direct store against the plan's census (shadow_on.go).
+// -tags shadowtrace the recording implementation checks every slot and
+// direct store against the plan's census (shadow_on.go).
 type outbufShadow struct{}
 
-func (b *OutBuf) shadowReset()                      {}
-func (b *OutBuf) shadowHot(th, row int, slot int32) {}
-func (b *OutBuf) shadowDirect(th, row int)          {}
+func (b *OutBuf) shadowReset()                    {}
+func (b *OutBuf) shadowSlot(th, row int, k int32) {}
+func (b *OutBuf) shadowDirect(th, row int)        {}

@@ -94,20 +94,20 @@ func (s *shadowState) boundary(th, l int, id int64) {
 }
 
 // outbufShadow is the dynamic oracle for planned accumulation buffers: it
-// checks every hot-replica and cold-direct store against the plan's write
-// census, panicking when a store uses a slot the remap does not declare for
-// its row, or when a second thread direct-writes a row the census proved
-// single-writer. Armed by Reset (planned buffers only); like shadowState,
-// the mutex deliberately serialises claims — shadowtrace builds exist only
-// for tests.
+// checks every slot store and every direct store against the plan's write
+// census, panicking when a store uses a slot the plan does not assign its
+// row, when a row with a slot is stored directly, or when a second thread
+// direct-stores a row the census proved single-writer. Armed by Reset
+// (planned buffers only); like shadowState, the mutex deliberately
+// serialises claims — shadowtrace builds exist only for tests.
 type outbufShadow struct {
 	mu     sync.Mutex
 	armed  bool
-	direct map[int]int // row -> thread that direct-wrote it this launch
+	direct map[int]int // row -> thread that direct-stored it this launch
 }
 
 // shadowReset arms the oracle for the next kernel launch and forgets the
-// previous launch's direct-write claims.
+// previous launch's direct-store claims.
 func (b *OutBuf) shadowReset() {
 	s := &b.shadow
 	s.mu.Lock()
@@ -119,9 +119,9 @@ func (b *OutBuf) shadowReset() {
 	clear(s.direct)
 }
 
-// shadowHot records a hot-replica store of `row` through `slot` by thread
-// th and checks it against the plan's remap.
-func (b *OutBuf) shadowHot(th, row int, slot int32) {
+// shadowSlot records a store of `row` through slot k by thread th and
+// checks it against the plan's slot map.
+func (b *OutBuf) shadowSlot(th, row int, k int32) {
 	s := &b.shadow
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -129,20 +129,14 @@ func (b *OutBuf) shadowHot(th, row int, slot int32) {
 		return
 	}
 	ap := b.plan
-	if ap.Strategy != AccumHybrid {
-		panic(fmt.Sprintf("kernels: shadow: hot-replica write on a %v buffer", ap.Strategy))
-	}
-	if row < 0 || row >= len(ap.Remap) {
-		panic(fmt.Sprintf("kernels: shadow: thread %d hot-replica write for out-of-range row %d", th, row))
-	}
-	if ap.Remap[row] != slot {
-		panic(fmt.Sprintf("kernels: shadow: thread %d hot-replica write for row %d through slot %d; the plan's remap declares %d",
-			th, row, slot, ap.Remap[row]))
+	if row < 0 || row >= ap.Rows || ap.Slot == nil || ap.Slot[row] != k {
+		panic(fmt.Sprintf("kernels: shadow: thread %d slot store for row %d through slot %d, which the plan does not assign it",
+			th, row, k))
 	}
 }
 
-// shadowDirect records a plain (non-atomic) shared-buffer store of `row` by
-// thread th; a second thread storing the same row this launch means the
+// shadowDirect records a plain store of `row` into the output by thread
+// th; a second thread storing the same row this launch means the
 // single-writer proof was wrong and the store races.
 func (b *OutBuf) shadowDirect(th, row int) {
 	s := &b.shadow
@@ -152,12 +146,12 @@ func (b *OutBuf) shadowDirect(th, row int) {
 		return
 	}
 	ap := b.plan
-	if row < 0 || row >= len(ap.Remap) || ap.Remap[row] != RemapColdDirect {
-		panic(fmt.Sprintf("kernels: shadow: thread %d plain store to row %d, which the plan's remap does not declare cold-direct",
+	if row < 0 || row >= ap.Rows || (ap.Slot != nil && ap.Slot[row] >= 0) {
+		panic(fmt.Sprintf("kernels: shadow: thread %d direct store to row %d, which the plan gives per-thread slots",
 			th, row))
 	}
 	if prev, seen := s.direct[row]; seen && prev != th {
-		panic(fmt.Sprintf("kernels: shadow: row %d direct-written by thread %d and thread %d; the census declared a single writer",
+		panic(fmt.Sprintf("kernels: shadow: row %d direct-stored by thread %d and thread %d; the census declared a single writer",
 			row, prev, th))
 	}
 	s.direct[row] = th

@@ -211,9 +211,9 @@ func TestBlockedEndToEndBitIdentical(t *testing.T) {
 			for u := 1; u < tt.Order(); u++ {
 				buf := NewOutBuf(tree.Dim(u), rank, part.T, 0)
 				buf.ops = ops
-				buf.Reset()
-				ModeMTTKRPWith(tree, lf, u, partials, buf, part, sc)
 				got := tensor.NewMatrix(tree.Dim(u), rank)
+				buf.Reset(got)
+				ModeMTTKRPWith(tree, lf, u, partials, buf, part, sc)
 				buf.Reduce(got)
 				outs = append(outs, got)
 			}

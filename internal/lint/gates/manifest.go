@@ -69,12 +69,10 @@ func Default() *Manifest {
 			{Func: "kernels.modeThread", Note: "non-root kernel per-thread body (Alg. 6-8): depth-first walk over every level, per-nnz"},
 			{Func: "kernels.zero", Note: "rank-vector clear inside every fiber visit; must lower to memclr"},
 			{Func: "kernels.addScaled", Note: "leaf-level axpy, executed once per nonzero"},
-			{Func: "kernels.OutBufThread.AddScaled", Note: "per-add output scatter: hot-replica / direct / CAS dispatch, once per leaf write"},
+			{Func: "kernels.OutBufThread.AddScaled", Note: "per-add output scatter: slot / direct / CAS dispatch, once per leaf write"},
 			{Func: "kernels.OutBufThread.AddHadamard", Note: "per-add output scatter (Hadamard form), once per internal-node write"},
-			{Func: "kernels.OutBuf.Reduce", Note: "touched-row reduction driver, O(touched·R) per mode solve"},
-			{Func: "kernels.OutBuf.reducePrivRows", Note: "journal-guided privatized reduction loop, per touched row"},
-			{Func: "kernels.OutBuf.reduceHybridRows", Note: "hot-slab combine + cold-row copy loop, per touched row"},
-			{Func: "kernels.OutBuf.combineHot", Note: "log-T tree combine of the hot replica slabs"},
+			{Func: "kernels.OutBuf.Reduce", Note: "shared-row reduction driver, O(T·shared·R) per mode solve"},
+			{Func: "kernels.OutBuf.reduceSlots", Note: "thread-order slot sum into the shared output rows, per shared row"},
 			{Func: "kernels.CountRowWrites", Note: "O(nnz) write census behind every accumulation plan"},
 			{Func: "kernels.hadamardAccum", Note: "fiber fold-up, executed once per internal CSF node"},
 			{Func: "kernels.hadamardInto", Note: "downward Khatri-Rao product, executed once per internal CSF node"},

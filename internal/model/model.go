@@ -41,15 +41,6 @@ type Params struct {
 	// Fibers[l] is the fiber (node) count at CSF level l; Fibers[d-1]
 	// is the non-zero count.
 	Fibers []int64
-
-	// T and Accum arm the accumulation-cost extension (see AttachAccum in
-	// accum.go); zero values leave the base Section IV model unchanged.
-	T     int
-	Accum []RowStats
-
-	// Memoized per-level strategy resolution; nil until AttachAccum.
-	accumStrat []AccumStrategy
-	accumCost  []Cost
 }
 
 // ParamsForCache builds Params from level dims and fiber counts with a
@@ -157,14 +148,8 @@ func (p Params) ModeCost(save []bool, u int) Cost {
 	if src < d-1 {
 		c.Reads += p.Fibers[src] * int64(p.R)
 	}
-	// Output accumulation: the flat DM_factor write approximation, or —
-	// when row-write stats are attached — the resolved strategy's
-	// scatter + Reset/Reduce term (see accum.go).
-	if p.accumCost != nil && u < len(p.accumCost) {
-		c = c.Add(p.accumCost[u])
-	} else {
-		c.Writes += p.dmFactor(u, p.Fibers[u])
-	}
+	// Output accumulation: the flat DM_factor write of the scattered rows.
+	c.Writes += p.dmFactor(u, p.Fibers[u])
 	return c
 }
 

@@ -38,7 +38,7 @@ echo "==> arena storage seam (mmap round trip, corrupt-header fuzz seeds, heap-v
 go test -race -run 'Arena|CSFBacking' . ./internal/csf/ ./internal/lint/
 
 echo "==> go test -race -tags shadowtrace (dynamic write-disjointness oracle)"
-go test -race -tags shadowtrace ./internal/kernels/ ./internal/cpd/
+go test -race -tags shadowtrace ./internal/kernels/ ./internal/cpd/ ./internal/core/ .
 
 echo "==> go test -race -tags lifetrace (dynamic lifetime oracle: PROT_NONE quarantine, workspace poisoning)"
 go test -race -tags lifetrace ./...

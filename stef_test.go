@@ -1,6 +1,7 @@
 package stef_test
 
 import (
+	"fmt"
 	"math"
 	"path/filepath"
 	"slices"
@@ -151,5 +152,60 @@ func TestLoadTensorAndBenchmark(t *testing.T) {
 	}
 	if _, err := stef.Benchmark("bogus"); err == nil {
 		t.Fatal("unknown benchmark accepted")
+	}
+}
+
+// TestSolveReproducibleAcrossRuns pins the accumulation determinism
+// contract: a multi-threaded STeF or STeF2 solve sums every shared output
+// row in thread order, so repeating it reproduces factors, weights and
+// fits bit for bit. The skewed tensor gives both engines rows that several
+// threads write at T=2 and T=4.
+func TestSolveReproducibleAcrossRuns(t *testing.T) {
+	tt := tensor.Random([]int{20, 100, 800}, 3000, []float64{2, 2, 1.5}, 5)
+	for _, engine := range []string{"stef", "stef2"} {
+		for _, threads := range []int{2, 4} {
+			c, err := stef.Compile(tt, stef.Options{Rank: 8, MaxIters: 8, Tol: -1, Threads: threads, Engine: engine, Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			shared := 0
+			for _, ap := range c.Plan().Accum {
+				if ap != nil {
+					shared += len(ap.Shared)
+				}
+			}
+			if shared == 0 {
+				t.Fatalf("%s T=%d: fixture has no multi-writer output rows", engine, threads)
+			}
+			first, err := c.Decompose()
+			if err != nil {
+				t.Fatal(err)
+			}
+			for run := 1; run < 6; run++ {
+				res, err := c.Decompose()
+				if err != nil {
+					t.Fatal(err)
+				}
+				ctx := fmt.Sprintf("%s T=%d run %d", engine, threads, run)
+				sameBits(t, res.Fits, first.Fits, ctx+" fits")
+				sameBits(t, res.Lambda, first.Lambda, ctx+" lambda")
+				for m, f := range res.Factors {
+					sameBits(t, f.Data, first.Factors[m].Data, fmt.Sprintf("%s factor %d", ctx, m))
+				}
+			}
+		}
+	}
+}
+
+// sameBits fails unless got and want hold the same float64 bit patterns.
+func sameBits(t *testing.T, got, want []float64, ctx string) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d, want %d", ctx, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: element %d is %v, want %v", ctx, i, got[i], want[i])
+		}
 	}
 }
